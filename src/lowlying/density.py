@@ -145,11 +145,9 @@ def _normalize(logC, mode):
 
 
 def d1_empirical(f: FamilyDef, N: int, g: TestFn, mode: str = "PerCurve",
-                 p_min: int = 5, d_max: int | None = None,
-                 ts=None) -> DensityReport:
+                 p_min: int = 5, d_max: int | None = None) -> DensityReport:
     """Average of [ghat(0) + g(0) + S1 + S2] over the good set in [N, 2N]."""
-    if ts is None:
-        ts = _prep(f, N, d_max)
+    ts = _prep(f, N, d_max)
     logC, incomplete = log_conductors(f, ts)
     logC = _normalize(logC, mode)
     S1, S2 = _s_sum_arrays(f, ts, g, logC, p_min=p_min)
@@ -189,14 +187,15 @@ def d2_empirical(f: FamilyDef, N: int, g1: TestFn, g2: TestFn,
             * (g2.fhat0 + g2.f0 + S21 + S22))
     avg_prod = _mean(prod)
     gp = product_fn(g1, g2)
-    rep1 = d1_empirical(f, N, gp, mode=mode, p_min=p_min, d_max=d_max, ts=ts)
+    P1, P2 = _s_sum_arrays(f, ts, gp, logC, p_min=p_min)
+    d1_prod = gp.fhat0 + gp.f0 + _mean(P1) + _mean(P2)
     if n_minus_value is None:
         if f.sign_rule.kind == "Equidistributed":
             n_minus_value = 0.5
         else:
             sample = [int(t) for t in ts[: min(ts.size, 200)]]
             n_minus_value = float(family_n_minus(f, sample))
-    D2 = avg_prod - 2.0 * rep1.D1_emp + g1.f0 * g2.f0 * n_minus_value
+    D2 = avg_prod - 2.0 * d1_prod + g1.f0 * g2.f0 * n_minus_value
     preds = {
         "SOeven": predict_d2("SOeven", g1, g2, f.rank),
         "O": predict_d2("O", g1, g2, f.rank),

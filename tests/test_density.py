@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lowlying import density
 from lowlying.density import (d1_empirical, d2_empirical, log_conductors,
                               s_sums, _s_sum_arrays)
 from lowlying.family import get_family
@@ -78,6 +79,19 @@ def test_d2_inadmissible_warns():
     with pytest.warns(UserWarning):
         rep = d2_empirical(f1, 200, g, g, sigma_bound=0.25)
     assert not rep.admissible
+
+
+def test_d2_computes_log_conductors_once(monkeypatch):
+    calls = []
+    real = density.log_conductors
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(density, "log_conductors", counting)
+    d2_empirical(get_family("F1"), 200, make_fejer(0.15), make_fejer(0.1))
+    assert len(calls) == 1
 
 
 def test_washington_n_minus_is_one():

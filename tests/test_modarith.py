@@ -56,12 +56,20 @@ def test_ap_vs_enumeration_all_presets():
 
 
 def test_ap_table_matches_pointwise():
-    for name in ("F1", "washington", "rank6"):
+    # F1 has A = 0 at every t, F2plus/F2minus B = 0 (and A = B = 0 at one
+    # t), washington/rank1/rank6 mostly AB != 0: every twist class is hit
+    for name in ("F1", "F2plus", "F2minus", "washington", "rank1", "rank6"):
         f = get_family(name)
-        for p in (5, 13, 29):
+        for p in (5, 7, 13, 29, 1009):
             tab = ap_table(f, p)
+            assert tab.dtype == np.int64
+            chi = chi_table(p)
             for t in range(p):
-                assert int(tab[t]) == a_p(f, t, p)
+                assert int(tab[t]) == a_p(f, t, p, chi=chi), (name, p, t)
+        p = 100003
+        tab = ap_table(f, p)
+        for t in range(0, p, p // 20):
+            assert int(tab[t]) == a_p(f, t, p), (name, p, t)
 
 
 def test_hasse_bound():
