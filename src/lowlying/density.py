@@ -12,8 +12,9 @@ Averaging over the sieve's good set gives the empirical density; the
 on the pointwise product test function and the odd-sign fraction.
 
 Computation is prime-major: one table of a_t(p) per residue class mod p
-serves every t at once.  All floating reductions use a fixed order, so
-reports are bit-identical across thread counts.
+serves every t at once.  The per-curve sums accumulate in prime order
+and the averages over the good set are correctly rounded (math.fsum),
+so reports are bit-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .family import FamilyDef, n_minus as family_n_minus
 from .modarith import ap_table, primes_upto
 from .predict import GROUPS, predict_d1, predict_d2, predict_d2_sp, predict_d2_u
 from .sqsieve import enumerate_good
-from .testfn import TestFn, pairwise_sum, product_fn
+from .testfn import TestFn, product_fn
 
 
 @dataclass
@@ -55,8 +56,7 @@ class DensityReport:
 
 
 def _mean(a):
-    a = np.asarray(a, dtype=np.float64)
-    return pairwise_sum(a) / a.size
+    return math.fsum(a) / len(a)
 
 
 def log_conductors(f: FamilyDef, ts):

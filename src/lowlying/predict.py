@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .modarith import primes_upto
-from .testfn import TestFn, functionals, pairwise_sum, quad_panels, _leggauss
+from .testfn import TestFn, functionals, panel_grid, quad_panels
 
 GROUPS = ("SOeven", "O", "SOodd", "Sp", "U")
 
@@ -78,11 +78,6 @@ def predict_d2_sp(g1: TestFn, g2: TestFn, r: int = 0) -> float:
 def predict_d2_u(g1: TestFn, g2: TestFn) -> float:
     fun = functionals(g1, g2)
     return g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"]
-
-
-def predict_d2_nonfamily(group_or_c, g1, g2, r):
-    """Two-level density with the r family zeros' contribution removed."""
-    return predict_d2(group_or_c, g1, g2, 0)
 
 
 # -- x-side kernels and quadrature cross-checks ----------------------------
@@ -171,12 +166,7 @@ def _cross2d(g1, g2, eps, T=40.0, panel=0.5, order=10):
     like |x|^-2 |y|^-2 off the diagonals and the diagonal strips decay
     like T^-3, so a truncated square suffices for 1e-4 accuracy.
     """
-    nodes, weights = _leggauss(order)
-    edges = np.arange(-T, T + panel / 2, panel)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = panel / 2.0
-    x = (mids[:, None] + half * nodes[None, :]).ravel()
-    w = np.tile(half * weights, mids.size)
+    x, w = panel_grid(np.arange(-T, T + panel / 2, panel), order)
     f1x = g1.f(x) * w
     f2y = g2.f(x) * w
     XY = x[:, None] - x[None, :]
@@ -184,9 +174,10 @@ def _cross2d(g1, g2, eps, T=40.0, panel=0.5, order=10):
     if eps is not None:
         XP = x[:, None] + x[None, :]
         S = (_K(XY) + eps * _K(XP)) ** 2
-    # fixed-order contraction (no BLAS): rows then a pairwise sum
+    # rows by a fixed-order numpy reduction (no BLAS), then one correctly
+    # rounded sum, so the result does not depend on the thread count
     row = np.add.reduce(S * f2y[None, :], axis=1)
-    return pairwise_sum(f1x * row)
+    return math.fsum(f1x * row)
 
 
 # -- prime-sum lemma check -------------------------------------------------
@@ -208,7 +199,7 @@ def primesum_check(C_N: int, g: TestFn, a: int = 1, m: int = 1, b: int = 0):
     ps = ps.astype(np.float64)
     logp = np.log(ps)
     terms = (logp / ps) * g.fhat(a * logp / logC) / logC
-    value = pairwise_sum(terms)
+    value = math.fsum(terms)
     phi = sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
     target = g.f0 / (2.0 * a * phi)
     return value, target, abs(value - target)

@@ -14,22 +14,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from .family import FamilyDef
+from .modarith import primes_upto
 from .polyint import IntPoly
+from .tate import factorize
 
 
 class ZeroDensityError(ValueError):
     pass
-
-
-def _prime_factors(d):
-    return sorted(sympy.factorint(d))
-
-
-def _is_squarefree_small(d):
-    return all(e == 1 for e in sympy.factorint(d).values())
 
 
 def _roots_mod_psq(D: IntPoly, p: int):
@@ -69,10 +62,11 @@ def nu(D: IntPoly, d: int) -> int:
         raise ValueError("d must be a positive square-free integer")
     if d == 1:
         return 1
-    if not _is_squarefree_small(d):
-        raise ValueError(f"d={d} is not square-free")
+    fac = factorize(d)
+    if fac.cofactor != 1 or any(e > 1 for e in fac.prime_powers.values()):
+        raise ValueError(f"d={d} is not square-free or not fully factored")
     out = 1
-    for p in _prime_factors(d):
+    for p in sorted(fac.prime_powers):
         out *= len(_roots_mod_psq(D, p))
     return out
 
@@ -89,17 +83,6 @@ class SieveReport:
     def __post_init__(self):
         assert 0.0 < self.c_F_estimate <= 1.0
         assert self.t_set_excess >= 0
-
-
-def _sieve_primes(d_max):
-    if d_max < 2:
-        return []
-    flags = np.ones(d_max + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(math.isqrt(d_max)) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return [int(p) for p in np.nonzero(flags)[0]]
 
 
 def default_d_max(N):
@@ -130,7 +113,8 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
     length = N + 1  # t in [N, 2N] inclusive
     good = np.ones(length, dtype=bool)
     nu_table = {1: 1}
-    for p in _sieve_primes(d_max):
+    c = 1.0  # cardinality_constant(f, d_max), from the roots found here
+    for p in primes_upto(d_max):
         if B % p == 0:
             nu_table[p] = 0  # excluded: exceptional prime
             continue
@@ -141,6 +125,7 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
                 f"nu({p}) = {p}^2: every t has {p}^2 | D(t); set the "
                 f"exceptional square B to absorb this prime")
         m = p * p
+        c *= 1.0 - len(roots) / m
         for r in roots:
             start = (r - N) % m
             good[start::m] = False
@@ -149,19 +134,17 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
     ts = np.array([t for t in ts if f.delta_at(int(t)) != 0], dtype=np.int64)
     excess = 0
     if exact:
-        from .tate import factorize
-
         keep = []
         for t in ts:
             val = abs(D.eval(int(t)))
             fac = factorize(val)
             sq = any(e >= 2 for p, e in fac.prime_powers.items() if B % p != 0)
-            if sq or fac.cofactor != 1 and sympy.integer_nthroot(fac.cofactor, 2)[1]:
+            cof = fac.cofactor
+            if sq or cof != 1 and math.isqrt(cof) ** 2 == cof:
                 excess += 1
             else:
                 keep.append(int(t))
         ts = np.array(keep, dtype=np.int64)
-    c = cardinality_constant(f, p_max=max(d_max, 2))
     return SieveReport(N=N, d_max=d_max, good_t=ts, nu_table=nu_table,
                        c_F_estimate=c, t_set_excess=excess)
 
@@ -172,7 +155,7 @@ def cardinality_constant(f: FamilyDef, p_max: int = 1000) -> float:
     if D.is_constant():
         return 1.0
     out = 1.0
-    for p in _sieve_primes(p_max):
+    for p in primes_upto(p_max):
         if f.B % p == 0:
             continue
         np_ = len(_roots_mod_psq(D, p))

@@ -7,13 +7,13 @@ run the full step-by-step algorithm, including the non-minimal restart.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from .family import FamilyDef, SingularFiberError
 from .modarith import is_prime, primes_upto
 
-_TRIAL_PRIMES = None
 _TRIAL_BOUND = 10 ** 6
 
 
@@ -289,11 +289,9 @@ def tate_local(ai, p: int) -> LocalData:
     return tate_local_shortcut(ai, p)
 
 
+@functools.cache
 def _trial_primes():
-    global _TRIAL_PRIMES
-    if _TRIAL_PRIMES is None:
-        _TRIAL_PRIMES = primes_upto(10 ** 4)
-    return _TRIAL_PRIMES
+    return primes_upto(10 ** 4)
 
 
 def _brent(n: int, seed: int = 1) -> int:
@@ -325,14 +323,9 @@ def _brent(n: int, seed: int = 1) -> int:
     return g
 
 
-_FULL_TRIAL_PRIMES = None
-
-
+@functools.cache
 def _full_trial_primes():
-    global _FULL_TRIAL_PRIMES
-    if _FULL_TRIAL_PRIMES is None:
-        _FULL_TRIAL_PRIMES = primes_upto(_TRIAL_BOUND)
-    return _FULL_TRIAL_PRIMES
+    return primes_upto(_TRIAL_BOUND)
 
 
 def factorize(n: int, budget: int = 64) -> Factorization:

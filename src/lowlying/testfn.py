@@ -16,48 +16,54 @@ even but dips slightly negative away from the origin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-_GL_NODES = {}
 
-
+@functools.cache
 def _leggauss(order):
-    if order not in _GL_NODES:
-        _GL_NODES[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_NODES[order]
+    return np.polynomial.legendre.leggauss(order)
+
+
+def panel_grid(breakpoints, order):
+    """Gauss-Legendre nodes and weights on every panel between breakpoints.
+
+    breakpoints has shape (..., k); each row is sorted, and a 1-D row
+    also loses its repeats.  Returns (x, w), each of shape
+    (..., (k - 1) * order); a repeated breakpoint in a batched row is a
+    zero-width panel whose weights are 0.
+    """
+    bp = np.asarray(breakpoints, dtype=np.float64)
+    bp = np.unique(bp) if bp.ndim == 1 else np.sort(bp, axis=-1)
+    nodes, weights = _leggauss(order)
+    lo, hi = bp[..., :-1, None], bp[..., 1:, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    shape = bp.shape[:-1] + (max(bp.shape[-1] - 1, 0) * order,)
+    return (mid + half * nodes).reshape(shape), (half * weights).reshape(shape)
 
 
 def quad_panels(fn, breakpoints, order=24):
-    """Composite Gauss-Legendre over the panels between sorted breakpoints."""
-    bp = np.asarray(sorted(set(float(b) for b in breakpoints)))
-    nodes, weights = _leggauss(order)
-    total = 0.0
-    vals = []
-    for lo, hi in zip(bp[:-1], bp[1:]):
-        if hi <= lo:
-            continue
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        x = mid + half * nodes
-        vals.append(half * np.dot(weights, fn(x)))
-    # fixed-order pairwise reduction for reproducibility
-    return pairwise_sum(np.asarray(vals)) if vals else total
+    """Composite Gauss-Legendre over the panels between the breakpoints.
+
+    One fn call on all nodes; the sum is correctly rounded (math.fsum),
+    so it does not depend on the order of the panels.
+    """
+    x, w = panel_grid(breakpoints, order)
+    return math.fsum(fn(x) * w)
 
 
 def pairwise_sum(a):
-    """Deterministic pairwise summation of a 1-D array."""
-    a = np.asarray(a, dtype=np.float64)
-    n = a.size
-    if n == 0:
-        return 0.0
-    while n > 1:
-        half = n // 2
-        a = np.concatenate([a[:half] + a[half:2 * half], a[2 * half:n]])
-        n = a.size
-    return float(a[0])
+    """math.fsum(a): the package's sums call math.fsum directly.
+
+    Nothing here calls this; it stays while perfbench's per-layer
+    metrics testfn.pairwise_sum.* name it (a traced run rejects a metric
+    that names no function), and goes with them.
+    """
+    return math.fsum(a)
 
 
 @dataclass(frozen=True)
@@ -196,18 +202,21 @@ def functionals(f1: TestFn, f2: TestFn) -> dict:
 
 # -- pointwise products ----------------------------------------------------
 
-def _fejer_selfconv(sigma):
-    """Convolution of the Fejer triangle hat with itself (equal sigma).
+def _fejer_conv(a, b):
+    """Convolution of the Fejer triangles of half-widths a and b.
 
-    Piecewise cubic, support [-2 sigma, 2 sigma]; value at 0 is
-    2 sigma/3.
+    Each triangle is (1/a) times the second difference of x_+ with step
+    a, so their convolution is the double second difference of x_+^3/6:
+    (1/(6ab)) sum_{i,j} c_i c_j (|u| + i a + j b)_+^3, c = (1, -2, 1),
+    which vanishes for |u| >= a + b.
     """
+    c = ((-1.0, 1.0), (0.0, -2.0), (1.0, 1.0))  # (i, c_i)
+
     def ghat(u):
-        w = np.abs(np.asarray(u, dtype=np.float64)) / sigma
-        inner = w ** 3 / 2.0 - w * w + 2.0 / 3.0
-        outer = (2.0 - w) ** 3 / 6.0
-        out = np.where(w <= 1.0, inner, np.where(w <= 2.0, outer, 0.0))
-        return sigma * out
+        w = np.abs(np.asarray(u, dtype=np.float64))
+        out = sum(ci * cj * np.maximum(w + i * a + j * b, 0.0) ** 3
+                  for i, ci in c for j, cj in c)
+        return np.where(w < a + b, out / (6.0 * a * b), 0.0)
     return ghat
 
 
@@ -219,19 +228,22 @@ def product_fn(f1: TestFn, f2: TestFn) -> TestFn:
     def g(x):
         return f1.f(x) * f2.f(x)
 
-    if f1.kind == "fejer" and f2.kind == "fejer" and f1.sigma == f2.sigma:
-        ghat = _fejer_selfconv(f1.sigma)
+    if f1.kind == "fejer" and f2.kind == "fejer":
+        ghat = _fejer_conv(f1.sigma, f2.sigma)
     else:
-        def ghat_scalar(u):
-            bp = sorted({-f1.sigma, 0.0, f1.sigma,
-                         u - f2.sigma, u, u + f2.sigma})
-            return quad_panels(lambda v: f1.fhat(v) * f2.fhat(u - v), bp,
-                               order=16)
-        ghat_vec = np.vectorize(ghat_scalar, otypes=[np.float64])
-
         def ghat(u):
+            # one batched quadrature over the rows of kinks of
+            # fhat1(v) fhat2(u - v); the integrand is piecewise
+            # polynomial, so order 16 is exact to roundoff
             u = np.asarray(u, dtype=np.float64)
-            out = np.where(np.abs(u) < s, ghat_vec(np.where(np.abs(u) < s, u, 0.0)), 0.0)
+            out = np.zeros(u.shape)
+            inside = np.abs(u) < s
+            ui = u[inside][:, None]
+            rows = np.broadcast_arrays(-f1.sigma, 0.0, f1.sigma,
+                                       ui - f2.sigma, ui, ui + f2.sigma)
+            x, w = panel_grid(np.concatenate(rows, axis=1), 16)
+            # fixed-order numpy sum along the node axis
+            out[inside] = np.sum(f1.fhat(x) * f2.fhat(ui - x) * w, axis=1)
             return out
 
     g0 = f1.f0 * f2.f0

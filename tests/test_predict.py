@@ -4,8 +4,8 @@ import pytest
 
 from lowlying.testfn import make_fejer, make_smooth_bump
 from lowlying.predict import (GROUPS, kernel_crosscheck, predict_d1,
-                              predict_d2, predict_d2_nonfamily,
-                              predict_d2_sp, predict_d2_u, primesum_check)
+                              predict_d2, predict_d2_sp, predict_d2_u,
+                              primesum_check)
 
 
 def test_d1_examples():
@@ -49,8 +49,6 @@ def test_d2_rank_terms():
     f = make_fejer(0.45)
     assert abs(predict_d2(0.0, f, f, 1) - predict_d2(0.0, f, f, 0)
                - 0.9) < 1e-12
-    assert abs(predict_d2_nonfamily("SOeven", f, f, 3)
-               - predict_d2("SOeven", f, f, 0)) < 1e-15
 
 
 def test_d2_sp_example():

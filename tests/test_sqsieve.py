@@ -88,6 +88,7 @@ def test_density_matches_euler_product():
         dens = rep.good_t.size / 10 ** 5
         c = cardinality_constant(fam, 1000)
         assert abs(dens - c) <= 0.02, (name, dens, c)
+        assert rep.c_F_estimate == cardinality_constant(fam, rep.d_max)
 
 
 def test_cardinality_constant_f1_range():

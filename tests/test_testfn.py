@@ -66,6 +66,14 @@ def test_fourier_consistency():
         assert abs(tf.fhat0 - val) <= 1e-6, tf.kind
 
 
+def test_quad_panels_unsorted_repeated_breakpoints():
+    tf = make_smooth_bump(0.45)
+    clean = quad_panels(tf.fhat, [-0.45, 0.0, 0.2, 0.45])
+    messy = quad_panels(tf.fhat, [0.45, 0.0, -0.45, 0.2, 0.0, 0.45, -0.0])
+    assert messy == clean
+    assert abs(clean - tf.int_fhat) < 1e-14
+
+
 def test_fejer_nonnegative():
     xs = np.linspace(-30, 30, 4001)
     assert np.all(make_fejer(0.45).f(xs) >= 0.0)
@@ -73,6 +81,13 @@ def test_fejer_nonnegative():
     # its transform dips below zero near 2 pi sigma x = 2 pi
     b = make_smooth_bump(0.45)
     assert float(b.f(1.0 / 0.45)) < 0.0
+
+
+def _direct_ghat(f1, f2, u):
+    """ghat(u) as the cosine transform of f1 f2, by x-side quadrature."""
+    return 2 * quad_panels(
+        lambda x: f1.f(x) * f2.f(x) * np.cos(2 * np.pi * u * x),
+        np.linspace(0, 2000, 6001), order=10)
 
 
 def test_product_fn():
@@ -85,10 +100,16 @@ def test_product_fn():
     assert np.all(g.fhat(u) == 0.0)          # convolution support
     # convolution vs direct transform quadrature
     for uu in (0.1, 0.35, 0.7):
-        direct = 2 * quad_panels(
-            lambda x: f.f(x) ** 2 * np.cos(2 * np.pi * uu * x),
-            np.linspace(0, 2000, 6001), order=10)
-        assert abs(float(g.fhat(uu)) - direct) < 1e-6
+        assert abs(float(g.fhat(uu)) - _direct_ghat(f, f, uu)) < 1e-6
+    # unequal Fejer pairs: the same closed form
+    for s1, s2, us in ((0.15, 0.1, (0.0, 0.03, 0.12, 0.2)),
+                       (0.3, 0.2, (0.0, 0.1, 0.25, 0.4))):
+        f1, f2 = make_fejer(s1), make_fejer(s2)
+        g = product_fn(f1, f2)
+        assert abs(float(g.fhat(0.0)) - g.fhat0) < 1e-14
+        assert np.all(g.fhat(np.array([s1 + s2, -(s1 + s2), 1.0])) == 0.0)
+        for uu in us:
+            assert abs(float(g.fhat(uu)) - _direct_ghat(f1, f2, uu)) < 1e-6
 
 
 def test_product_fn_mixed_kinds():
@@ -98,6 +119,15 @@ def test_product_fn_mixed_kinds():
     assert abs(g.fhat0 - functionals(f, b)["P0"]) < 1e-10
     assert abs(float(g.fhat(0.0)) - g.fhat0) < 1e-10
     assert float(g.fhat(0.6)) == 0.0
+    # the batched convolution vs one scalar quadrature per u
+    us = np.array([-0.45, -0.2, 0.0, 0.05, 0.17, 0.3, 0.49])
+    for f1, f2 in ((b, make_smooth_bump(0.35)), (f, b), (b, f)):
+        got = product_fn(f1, f2).fhat(us)
+        for u, val in zip(us, got):
+            bp = [-f1.sigma, 0.0, f1.sigma, u - f2.sigma, u, u + f2.sigma]
+            ref = quad_panels(lambda v: f1.fhat(v) * f2.fhat(u - v), bp,
+                              order=16)
+            assert abs(val - ref) < 1e-14, (f1.kind, f2.kind, u)
 
 
 def test_pairwise_sum():
