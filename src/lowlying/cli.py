@@ -178,13 +178,8 @@ def cmd_predict(args, out):
     if args.testfn2:
         g2 = make_testfn(args.testfn2)
         obj["testfn2"] = [g2.kind, g2.sigma]
-        obj["d2"] = {
-            "SOeven": predict_mod.predict_d2("SOeven", g1, g2, args.rank),
-            "O": predict_mod.predict_d2("O", g1, g2, args.rank),
-            "SOodd": predict_mod.predict_d2("SOodd", g1, g2, args.rank),
-            "Sp": predict_mod.predict_d2_sp(g1, g2, args.rank),
-            "U": predict_mod.predict_d2_u(g1, g2),
-        }
+        obj["d2"] = {grp: predict_mod.predict_d2(grp, g1, g2, args.rank)
+                     for grp in predict_mod.GROUPS}
     else:
         obj["d1"] = {grp: predict_mod.predict_d1(grp, g1, args.rank)
                      for grp in predict_mod.GROUPS}
@@ -203,20 +198,16 @@ def cmd_predict(args, out):
 
 def cmd_verify_kernels(args, out):
     g1 = make_testfn(args.testfn)
-    rows = []
-    ok = True
-    for grp in predict_mod.GROUPS:
-        r = predict_mod.kernel_crosscheck(grp, g1)
-        rows.append([grp, "1-level", r, r <= 1e-6])
-        ok &= r <= 1e-6
     g2a = make_testfn(args.testfn2 or
                       f"{g1.kind}:{min(0.45, g1.sigma / 2)}")
-    for grp in predict_mod.GROUPS:
-        r = predict_mod.kernel_crosscheck(grp, g2a, g2a)
-        rows.append([grp, "2-level", r, r <= 1e-4])
-        ok &= r <= 1e-4
+    rows = []
+    for level, res, tol in (
+            ("1-level", predict_mod.kernel_crosscheck(g1), 1e-6),
+            ("2-level", predict_mod.kernel_crosscheck(g2a, g2a), 1e-4)):
+        rows += [[grp, level, res[grp], res[grp] <= tol]
+                 for grp in predict_mod.GROUPS]
     _emit_csv(out, ["group", "level", "residual", "ok"], rows)
-    return 0 if ok else 1
+    return 0 if all(row[3] for row in rows) else 1
 
 
 def cmd_report(args, out):

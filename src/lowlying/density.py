@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .family import FamilyDef, n_minus as family_n_minus
-from .modarith import ap_table, primes_upto
-from .predict import GROUPS, predict_d1, predict_d2, predict_d2_sp, predict_d2_u
+from .modarith import a_p, ap_table, primes_upto
+from .predict import GROUPS, predict_d1, predict_d2
 from .sqsieve import enumerate_good
 from .testfn import TestFn, product_fn
 
@@ -88,7 +88,11 @@ def log_conductors(f: FamilyDef, ts):
 
 def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
            p_min: int = 5) -> tuple:
-    """Direct per-curve prime sums (S1, S2); the simple reference route."""
+    """Direct per-curve prime sums (S1, S2); the simple reference route.
+
+    Each a_t(p) is the per-t character sum `a_p`, independent of the
+    `ap_table` path that `_s_sum_arrays` uses.
+    """
     if log_C is None:
         log_C, _ = log_conductors(f, [t])
         log_C = float(log_C[0])
@@ -102,7 +106,7 @@ def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
         w2 = float(g.fhat(2.0 * x))
         if w1 == 0.0 and w2 == 0.0:
             continue
-        ap = int(ap_table(f, p)[t % p])
+        ap = a_p(f, t, p)
         S1 += -2.0 * x * w1 * ap / p
         S2 += -2.0 * x * w2 * ap * ap / (p * p)
     return S1, S2
@@ -196,13 +200,7 @@ def d2_empirical(f: FamilyDef, N: int, g1: TestFn, g2: TestFn,
             sample = [int(t) for t in ts[: min(ts.size, 200)]]
             n_minus_value = float(family_n_minus(f, sample))
     D2 = avg_prod - 2.0 * d1_prod + g1.f0 * g2.f0 * n_minus_value
-    preds = {
-        "SOeven": predict_d2("SOeven", g1, g2, f.rank),
-        "O": predict_d2("O", g1, g2, f.rank),
-        "SOodd": predict_d2("SOodd", g1, g2, f.rank),
-        "Sp": predict_d2_sp(g1, g2, f.rank),
-        "U": predict_d2_u(g1, g2),
-    }
+    preds = {grp: predict_d2(grp, g1, g2, f.rank) for grp in GROUPS}
     resid = {grp: abs(D2 - v) for grp, v in preds.items()}
     s1, s2 = _mean(S11), _mean(S12)
     return DensityReport(

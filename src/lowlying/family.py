@@ -95,13 +95,11 @@ class FamilyDef:
         return self._inv["delta"].eval(t)
 
 
-def invariants(f: FamilyDef) -> dict:
-    """Standard Weierstrass quantities of the family as polynomials.
+def _bc_invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8, c4, c6, delta) of a Weierstrass model.
 
-    D is the primitive square-free part of the discriminant; D1 collects
-    the factors shared with c4, D2 = D/D1 the rest (M = D2).
+    The coefficients may be ints (one fiber) or IntPolys (the family).
     """
-    a1, a2, a3, a4, a6 = f.a1, f.a2, f.a3, f.a4, f.a6
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -109,6 +107,17 @@ def invariants(f: FamilyDef) -> dict:
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
     delta = -b2 * b2 * b8 - 8 * (b4 ** 3) - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, delta
+
+
+def invariants(f: FamilyDef) -> dict:
+    """Standard Weierstrass quantities of the family as polynomials.
+
+    D is the primitive square-free part of the discriminant; D1 collects
+    the factors shared with c4, D2 = D/D1 the rest (M = D2).
+    """
+    b2, b4, b6, b8, c4, c6, delta = _bc_invariants(f.a1, f.a2, f.a3, f.a4,
+                                                   f.a6)
     if delta.is_zero():
         raise DegenerateFamilyError(f"{f.label}: discriminant identically zero")
     assert c4 ** 3 - c6 ** 2 == 1728 * delta

@@ -253,8 +253,12 @@ def _a1_fast(f: FamilyDef, p: int) -> int:
     return -int(inner.sum(dtype=np.int64))
 
 
-def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto") -> int:
-    """Exact A_r(p) = sum over t mod p of a_t(p)^r, for p > 3, r in {1,2}."""
+def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto",
+               table=None) -> int:
+    """Exact A_r(p) = sum over t mod p of a_t(p)^r, for p > 3, r in {1,2}.
+
+    table, if given, is ap_table(f, p), summed in place of a new one.
+    """
     if p <= 3 or not is_prime(p):
         raise ValueError("moment sums need a prime p > 3")
     if r not in (1, 2):
@@ -264,7 +268,7 @@ def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto") -> int:
         return sum(a_p(f, t, p, chi=chi) ** r for t in range(p))
     if method == "auto" and r == 1 and _g_t_degree(f) <= 2:
         return _a1_fast(f, p)
-    tab = ap_table(f, p)
+    tab = ap_table(f, p) if table is None else table
     return int((tab ** r).sum(dtype=object))
 
 
@@ -313,8 +317,10 @@ class MomentTable:
         for p in primes_upto(p_max):
             if p <= 3:
                 continue
-            a1 = moment_sum(f, p, 1)
-            a2 = moment_sum(f, p, 2) if second else None
+            # A2 needs the table, so A1 is summed from the same one
+            tab_p = ap_table(f, p) if second else None
+            a1 = moment_sum(f, p, 1, table=tab_p)
+            a2 = moment_sum(f, p, 2, table=tab_p) if second else None
             bound = p * (isqrt(4 * p) + 1)  # p summands, each |a_t| <= 2 sqrt p
             assert abs(a1) <= bound
             if a2 is not None:

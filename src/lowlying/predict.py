@@ -1,11 +1,13 @@
 """Random-matrix predicted densities and their quadrature cross-checks.
 
-One-level densities are computed on the transform side: the delta mass
-contributes fhat(0), the group term is a closed form in the cached
-functionals, and the family's r zeros at the central point contribute
-r*f(0).  kernel_crosscheck recomputes the same numbers from the x-side
-sine-kernel determinants by quadrature, which validates the hat-side
-closed forms independently.
+Both levels are tables over GROUPS.  One-level densities are computed on
+the transform side: the delta mass contributes fhat(0), the group term
+is a closed form in the cached functionals, and the family's r zeros at
+the central point contribute r*f(0).  Two-level densities are closed
+forms in the same functionals; the orthogonal flavors differ only in
+the coefficient c(G) of g1(0)g2(0).  kernel_crosscheck recomputes all
+five groups of either level from the x-side sine-kernel determinants by
+quadrature, which validates the hat-side closed forms independently.
 
 Kernel: K(y) = sin(pi y)/(pi y); K_eps(x, y) = K(x-y) + eps*K(x+y).
 """
@@ -21,8 +23,8 @@ from .testfn import TestFn, functionals, panel_grid, quad_panels
 
 GROUPS = ("SOeven", "O", "SOodd", "Sp", "U")
 
-# coefficient c(G) of the 2-level g1(0)g2(0) term for the orthogonal flavors
-C_OF_GROUP = {"SOeven": 0.0, "O": 0.5, "SOodd": 1.0}
+# coefficient c(G) of the 2-level g1(0)g2(0) term; Sp starts from c = 0
+C_OF_GROUP = {"SOeven": 0.0, "O": 0.5, "SOodd": 1.0, "Sp": 0.0}
 
 
 def predict_d1(group: str, g: TestFn, r: int = 0) -> float:
@@ -42,42 +44,34 @@ def predict_d1(group: str, g: TestFn, r: int = 0) -> float:
     return g.fhat0 + term + r * g.f0
 
 
-def predict_d2(group_or_c, g1: TestFn, g2: TestFn, r: int = 0,
-               n_minus=None) -> float:
-    """Two-level density for the orthogonal flavors.
+def predict_d2(group: str, g1: TestFn, g2: TestFn, r: int = 0) -> float:
+    """Two-level density of a group in GROUPS.
 
-    The base value is
+    The orthogonal flavors are
       [ghat1(0)+g1(0)/2][ghat2(0)+g2(0)/2] + 2*int|u| ghat1 ghat2
-      - 2*int g1 g2 - g1(0)g2(0) + c*g1(0)g2(0)
-    with c = c(G) for a named group or the supplied odd-sign fraction,
+      - 2*int g1 g2 - g1(0)g2(0) + c(G)*g1(0)g2(0)
     plus the rank terms (r^2-r)g1(0)g2(0) + r ghat1(0)g2(0)
-    + r g1(0)ghat2(0).
+    + r g1(0)ghat2(0).  Sp is the c = 0 value minus
+    g1(0)ghat2(0) + ghat1(0)g2(0) - 2 g1(0)g2(0).  U is
+    ghat1(0)ghat2(0) + int|u| ghat1 ghat2 - int g1 g2, without rank terms.
     """
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
     if g1.sigma + g2.sigma >= 1.0:
         raise ValueError("2-level prediction needs sigma1 + sigma2 < 1")
-    if isinstance(group_or_c, str):
-        c = C_OF_GROUP[group_or_c]
-    else:
-        c = float(group_or_c)
-    if n_minus is not None:
-        c = float(n_minus)
     fun = functionals(g1, g2)
+    if group == "U":
+        return g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"]
+    c = C_OF_GROUP[group]
     base = ((g1.fhat0 + 0.5 * g1.f0) * (g2.fhat0 + 0.5 * g2.f0)
             + 2.0 * fun["I_abs"] - 2.0 * fun["P0"] - g1.f0 * g2.f0
             + c * g1.f0 * g2.f0)
     rank = ((r * r - r) * g1.f0 * g2.f0
             + r * g1.fhat0 * g2.f0 + r * g1.f0 * g2.fhat0)
-    return base + rank
-
-
-def predict_d2_sp(g1: TestFn, g2: TestFn, r: int = 0) -> float:
-    return (predict_d2(0.0, g1, g2, r)
-            - g1.f0 * g2.fhat0 - g1.fhat0 * g2.f0 + 2.0 * g1.f0 * g2.f0)
-
-
-def predict_d2_u(g1: TestFn, g2: TestFn) -> float:
-    fun = functionals(g1, g2)
-    return g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"]
+    val = base + rank
+    if group == "Sp":
+        val = val - g1.f0 * g2.fhat0 - g1.fhat0 * g2.f0 + 2.0 * g1.f0 * g2.f0
+    return val
 
 
 # -- x-side kernels and quadrature cross-checks ----------------------------
@@ -102,9 +96,6 @@ def w1_ac(group: str, x):
     raise ValueError(group)
 
 
-_DELTA_MASS = {"SOeven": 0.0, "O": 0.5, "SOodd": 1.0, "Sp": 0.0, "U": 0.0}
-
-
 def _int_f_K2(g: TestFn, T=None, order=16):
     """Quadrature of int f(x) K(2x) dx; integrand decays like x^-3."""
     if T is None:
@@ -114,70 +105,57 @@ def _int_f_K2(g: TestFn, T=None, order=16):
     return 2.0 * val  # even integrand
 
 
-def kernel_crosscheck(group: str, g, g2: TestFn | None = None) -> float:
-    """|x-side quadrature - hat-side closed form|.
+def kernel_crosscheck(g: TestFn, g2: TestFn | None = None) -> dict:
+    """{group: |x-side quadrature - hat-side closed form|} over GROUPS.
 
-    1-level: the constant part of W pairs to fhat(0) analytically, the
-    oscillatory K(2x) part is integrated numerically, delta masses add
-    f(0) terms.  2-level: the separable pieces reduce to the same 1-D
-    integrals; only the -K_eps(x,y)^2 cross term needs a 2-D grid.
+    1-level (g2 None): the constant part of W pairs to fhat(0)
+    analytically, the oscillatory part is q = int f K(2x), and delta
+    masses add f(0) terms.  2-level: with q_i for each test function and
+    mm, mp, pp = int int f1 f2 times K(x-y)^2, K(x-y)K(x+y), K(x+y)^2
+    from one _cross2d pass, the x-sides are
+      SOeven = (fhat1(0)+q1)(fhat2(0)+q2) - (mm + 2mp + pp)
+      Sp     = (fhat1(0)-q1)(fhat2(0)-q2) - (mm - 2mp + pp)
+      SOodd  = Sp + g1(0)(fhat2(0)-q2) + g2(0)(fhat1(0)-q1)
+      O      = (SOeven + SOodd)/2,   U = fhat1(0)fhat2(0) - mm.
     """
     if g2 is None:
-        side = g.fhat0 + _DELTA_MASS[group] * g.f0
-        if group == "SOeven":
-            side += _int_f_K2(g)
-        elif group in ("SOodd", "Sp"):
-            side -= _int_f_K2(g)
-        return abs(side - predict_d1(group, g, 0))
-    if group == "U":
-        side = g.fhat0 * g2.fhat0 - _cross2d(g, g2, eps=None)
-        return abs(side - predict_d2_u(g, g2))
-    if group == "O":
-        e = _d2_side(g, g2, +1)
-        o = _d2_side(g, g2, -1) + _d2_odd_delta(g, g2)
-        return abs(0.5 * (e + o) - predict_d2("O", g, g2, 0))
-    if group == "SOeven":
-        return abs(_d2_side(g, g2, +1) - predict_d2("SOeven", g, g2, 0))
-    if group == "SOodd":
-        side = _d2_side(g, g2, -1) + _d2_odd_delta(g, g2)
-        return abs(side - predict_d2("SOodd", g, g2, 0))
-    if group == "Sp":
-        return abs(_d2_side(g, g2, -1) - predict_d2_sp(g, g2, 0))
-    raise ValueError(group)
+        q = _int_f_K2(g)
+        side = {"SOeven": g.fhat0 + q, "O": g.fhat0 + 0.5 * g.f0,
+                "SOodd": g.fhat0 + g.f0 - q, "Sp": g.fhat0 - q,
+                "U": g.fhat0}
+        return {grp: abs(side[grp] - predict_d1(grp, g, 0))
+                for grp in GROUPS}
+    q1, q2 = _int_f_K2(g), _int_f_K2(g2)
+    mm, mp, pp = _cross2d(g, g2)
+    even = (g.fhat0 + q1) * (g2.fhat0 + q2) - (mm + 2.0 * mp + pp)
+    sp = (g.fhat0 - q1) * (g2.fhat0 - q2) - (mm - 2.0 * mp + pp)
+    odd = sp + g.f0 * (g2.fhat0 - q2) + g2.f0 * (g.fhat0 - q1)
+    side = {"SOeven": even, "O": 0.5 * (even + odd), "SOodd": odd,
+            "Sp": sp, "U": g.fhat0 * g2.fhat0 - mm}
+    return {grp: abs(side[grp] - predict_d2(grp, g, g2, 0))
+            for grp in GROUPS}
 
 
-def _d2_side(g1, g2, eps):
-    """int int f1 f2 [ (1+eps K(2x))(1+eps K(2y)) - K_eps(x,y)^2 ]."""
-    q1, q2 = _int_f_K2(g1), _int_f_K2(g2)
-    sep = (g1.fhat0 + eps * q1) * (g2.fhat0 + eps * q2)
-    return sep - _cross2d(g1, g2, eps)
+def _cross2d(g1, g2, T=40.0, panel=0.5, order=10):
+    """2-D quadrature of the sine-kernel cross terms; (mm, mp, pp).
 
-
-def _d2_odd_delta(g1, g2):
-    """delta(x)(1 - K(2y)) + delta(y)(1 - K(2x)) paired with f1 f2."""
-    return (g1.f0 * (g2.fhat0 - _int_f_K2(g2))
-            + g2.f0 * (g1.fhat0 - _int_f_K2(g1)))
-
-
-def _cross2d(g1, g2, eps, T=40.0, panel=0.5, order=10):
-    """2-D quadrature of int int f1(x) f2(y) K_eps(x,y)^2 dx dy.
-
-    eps=None means the unitary kernel K(x-y)^2.  The integrand decays
-    like |x|^-2 |y|^-2 off the diagonals and the diagonal strips decay
-    like T^-3, so a truncated square suffices for 1e-4 accuracy.
+    mm, mp, pp = int int f1(x) f2(y) times K(x-y)^2, K(x-y)K(x+y) and
+    K(x+y)^2.  The integrands decay like |x|^-2 |y|^-2 off the diagonals
+    and the diagonal strips decay like T^-3, so a truncated square
+    suffices for 1e-4 accuracy.  The node grid is symmetric bit for bit,
+    so x_i + x_j = x_i - x_(n-1-j) exactly: K(x+y) is the column-reversed
+    K(x-y) matrix, and K is evaluated once.
     """
     x, w = panel_grid(np.arange(-T, T + panel / 2, panel), order)
+    assert np.array_equal(x, -x[::-1])
     f1x = g1.f(x) * w
     f2y = g2.f(x) * w
-    XY = x[:, None] - x[None, :]
-    S = _K(XY) ** 2
-    if eps is not None:
-        XP = x[:, None] + x[None, :]
-        S = (_K(XY) + eps * _K(XP)) ** 2
+    Km = _K(x[:, None] - x[None, :])
+    Kp = Km[:, ::-1]
     # rows by a fixed-order numpy reduction (no BLAS), then one correctly
-    # rounded sum, so the result does not depend on the thread count
-    row = np.add.reduce(S * f2y[None, :], axis=1)
-    return math.fsum(f1x * row)
+    # rounded sum, so the results do not depend on the thread count
+    return tuple(math.fsum(f1x * np.add.reduce(S * f2y[None, :], axis=1))
+                 for S in (Km ** 2, Km * Kp, Kp ** 2))
 
 
 # -- prime-sum lemma check -------------------------------------------------

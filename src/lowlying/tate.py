@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .family import FamilyDef, SingularFiberError
+from .family import FamilyDef, SingularFiberError, _bc_invariants
 from .modarith import is_prime, primes_upto
 
 _TRIAL_BOUND = 10 ** 6
@@ -51,17 +51,6 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _bc_invariants(a1, a2, a3, a4, a6):
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
-    delta = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, c4, c6, delta
 
 
 def _transform(ai, r, s, t, u=1):

@@ -122,3 +122,22 @@ def test_moment_table_and_nagao():
     est = nagao_estimate(f, 2000)
     theta = sum(math.log(p) for p in primes_upto(2000) if p > 3)
     assert abs(est - theta / 2000) < 1e-9  # A1 = -p exactly, p = 2, 3 skipped
+
+
+def test_moment_table_one_ap_table_per_prime(monkeypatch):
+    from lowlying import modarith
+
+    calls = []
+    real = modarith.ap_table
+
+    def counting(f, p):
+        calls.append(p)
+        return real(f, p)
+
+    monkeypatch.setattr(modarith, "ap_table", counting)
+    f = get_family("rank6")  # t-degree > 2: A1 also needs the table
+    tab = MomentTable.build(f, 40)
+    assert calls == sorted(tab.entries)
+    for p, (a1, a2) in tab.entries.items():
+        assert a1 == moment_sum(f, p, 1, method="bruteforce"), p
+        assert a2 == moment_sum(f, p, 2, method="bruteforce"), p

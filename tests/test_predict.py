@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from lowlying.testfn import make_fejer, make_smooth_bump
-from lowlying.predict import (GROUPS, kernel_crosscheck, predict_d1,
-                              predict_d2, predict_d2_sp, predict_d2_u,
-                              primesum_check)
+from lowlying import predict
+from lowlying.testfn import make_fejer, make_smooth_bump, panel_grid
+from lowlying.predict import (GROUPS, _K, _cross2d, kernel_crosscheck,
+                              predict_d1, predict_d2, primesum_check)
 
 
 def test_d1_examples():
@@ -31,7 +32,7 @@ def test_d1_rank_term():
 
 def test_d2_frozen_value():
     f = make_fejer(0.45)
-    assert abs(predict_d2(0.0, f, f, 0) - 0.765625) < 1e-12
+    assert abs(predict_d2("SOeven", f, f, 0) - 0.765625) < 1e-12
 
 
 def test_d2_group_separation():
@@ -41,19 +42,19 @@ def test_d2_group_separation():
     s = predict_d2("SOodd", f, f, 0)
     assert abs(o - e - 0.5 * f.f0 * f.f0) < 1e-12
     assert abs(s - o - 0.5 * f.f0 * f.f0) < 1e-12
-    vals = [e, o, s, predict_d2_sp(f, f, 0), predict_d2_u(f, f)]
+    vals = [e, o, s, predict_d2("Sp", f, f, 0), predict_d2("U", f, f, 0)]
     assert len({round(v, 10) for v in vals}) == 5  # pairwise distinct
 
 
 def test_d2_rank_terms():
     f = make_fejer(0.45)
-    assert abs(predict_d2(0.0, f, f, 1) - predict_d2(0.0, f, f, 0)
+    assert abs(predict_d2("SOeven", f, f, 1) - predict_d2("SOeven", f, f, 0)
                - 0.9) < 1e-12
 
 
 def test_d2_sp_example():
     f = make_fejer(0.45)
-    diff = predict_d2_sp(f, f, 0) - predict_d2(0.0, f, f, 0)
+    diff = predict_d2("Sp", f, f, 0) - predict_d2("SOeven", f, f, 0)
     assert abs(diff - (-0.495)) < 1e-12
 
 
@@ -63,24 +64,46 @@ def test_d2_support_hypothesis():
         predict_d2("SOeven", f, f, 0)
 
 
-def test_d2_n_minus_matches_c():
-    f = make_fejer(0.45)
-    assert predict_d2("SOodd", f, f, 0) == predict_d2(0.0, f, f, 0,
-                                                      n_minus=1.0)
-
-
 def test_kernel_crosscheck_1level():
     for mk in (make_fejer, make_smooth_bump):
         g = mk(0.9)
+        res = kernel_crosscheck(g)
+        assert tuple(res) == GROUPS
         for grp in GROUPS:
-            assert kernel_crosscheck(grp, g) <= 1e-6, (grp, g.kind)
+            assert res[grp] <= 1e-6, (grp, g.kind)
 
 
-def test_kernel_crosscheck_2level():
-    for mk in (make_fejer, make_smooth_bump):
-        g = mk(0.45)
+def test_kernel_crosscheck_2level(monkeypatch):
+    calls = {"_cross2d": 0, "_int_f_K2": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(predict, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(predict, name, counting)
+    fej, bump = make_fejer(0.45), make_smooth_bump(0.45)
+    for g1, g2 in ((fej, fej), (bump, bump),
+                   (fej, make_smooth_bump(0.3)),
+                   (make_fejer(0.3), make_fejer(0.2))):
+        calls.update({"_cross2d": 0, "_int_f_K2": 0})
+        res = kernel_crosscheck(g1, g2)
+        # one 2-D grid pass and one K(2x) quadrature per test function
+        assert calls == {"_cross2d": 1, "_int_f_K2": 2}
+        assert tuple(res) == GROUPS
         for grp in GROUPS:
-            assert kernel_crosscheck(grp, g, g) <= 1e-4, (grp, g.kind)
+            assert res[grp] <= 1e-4, (grp, g1.kind, g1.sigma, g2.sigma)
+
+
+def test_cross2d_reversed_kernel_matches_direct():
+    g1, g2 = make_fejer(0.45), make_smooth_bump(0.3)
+    T, panel, order = 10.0, 0.5, 10
+    got = _cross2d(g1, g2, T=T, panel=panel, order=order)
+    x, w = panel_grid(np.arange(-T, T + panel / 2, panel), order)
+    Km = _K(x[:, None] - x[None, :])
+    Kp = _K(x[:, None] + x[None, :])  # K(x+y) evaluated directly
+    weights = np.outer(g1.f(x) * w, g2.f(x) * w)
+    for val, S in zip(got, (Km ** 2, Km * Kp, Kp ** 2)):
+        want = math.fsum((weights * S).ravel())
+        assert abs(val - want) <= 1e-13 * abs(want)
 
 
 def test_primesum_targets():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowlying.family import get_family, sign
+from lowlying.family import _bc_invariants, get_family, sign
 from lowlying.modarith import a_p_enumerate, chi_table, is_prime, primes_upto
-from lowlying.tate import (_bc_invariants, _vp, conductor, factorize,
-                           tate_local, tate_local_full, tate_local_shortcut)
+from lowlying.tate import (_vp, conductor, factorize, tate_local,
+                           tate_local_full, tate_local_shortcut)
 
 # Curves with well-known conductors, including wild 2- and 3-adic types.
 KNOWN = [
