@@ -4,9 +4,7 @@ Artifacts are deterministic: identical configurations produce
 byte-identical output apart from the timestamp, which is isolated on
 the first header line.  CSV is RFC-4180 with a header row, '.' decimal
 separator, 12 significant digits for reals; JSON is UTF-8 with sorted
-keys.  LOWLYING_THREADS caps parallelism (all current computations are
-single-threaded deterministic reductions, so the value only bounds
-library thread pools).
+keys.
 """
 
 from __future__ import annotations
@@ -25,17 +23,9 @@ from . import predict as predict_mod
 from .family import get_family, load_family
 from .modarith import (MomentTable, closed_form_moments, nagao_estimate,
                        primes_upto)
-from .sqsieve import cardinality_constant, enumerate_good, nu
+from .sqsieve import enumerate_good
 from .tate import conductor
 from .testfn import make_testfn
-
-
-def _threads():
-    val = os.environ.get("LOWLYING_THREADS", "")
-    try:
-        return max(1, int(val))
-    except ValueError:
-        return os.cpu_count() or 1
 
 
 def fmt(x):
@@ -311,11 +301,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=_threads())
-    except ImportError:
-        pass
     try:
         if args.out == "-":
             return args.fn(args, sys.stdout)

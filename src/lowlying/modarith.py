@@ -14,7 +14,7 @@ independent references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, log
 
 import numpy as np
 
@@ -39,7 +39,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin with a fixed base set (deterministic below 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -330,12 +330,10 @@ class MomentTable:
 
     def nagao_sum(self, X: int) -> float:
         """Rosen-Silverman rank statistic -(1/X) sum_{p<=X} (A1(p)/p) log p."""
-        import math
-
         acc = 0.0
         for p, (a1, _) in sorted(self.entries.items()):
             if p <= X:
-                acc += -(a1 / p) * math.log(p)
+                acc += -(a1 / p) * log(p)
         return acc / X
 
 

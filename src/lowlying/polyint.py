@@ -7,11 +7,6 @@ All arithmetic is arbitrary precision; evaluation at any integer is exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-import sympy
-
-_T = sympy.Symbol("t")
 
 
 class IntPoly:
@@ -158,15 +153,6 @@ class IntPoly:
         sign = 1 if self.leading() > 0 else -1
         return IntPoly([sign * c // g for c in self.coeffs])
 
-    # -- sympy bridge ------------------------------------------------------
-
-    def to_sympy(self):
-        return sympy.Poly(list(reversed(self.coeffs)) or [0], _T, domain="ZZ")
-
-    @classmethod
-    def from_sympy(cls, p):
-        return cls(list(reversed(sympy.Poly(p, _T).all_coeffs())))
-
 
 def _coerce(x):
     if isinstance(x, IntPoly):
@@ -181,28 +167,55 @@ def poly(*coeffs_ascending):
     return IntPoly(coeffs_ascending)
 
 
+def _divide(a: IntPoly, b: IntPoly, exact: bool):
+    """Long division of a by b over Z (Knuth, TAOCP vol. 2, 4.6.1).
+
+    Returns (q, r) with lc(b)**e * a = q*b + r and deg r < deg b.  A step
+    whose leading coefficient lc(b) does not divide scales the partial
+    remainder and quotient by lc(b) first (pseudo-division) and adds one
+    to e.  With exact=True such a step, or a nonzero remainder, raises
+    ValueError instead, so the result is e = 0 and a = q*b.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    lb, db = b.leading(), b.degree
+    r = list(a.coeffs)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c, rem = divmod(r[-1], lb)
+        if rem:
+            if exact:
+                raise ValueError("non-integer quotient")
+            c = r[-1]
+            r = [lb * x for x in r]
+            q = [lb * x for x in q]
+        k = len(r) - 1 - db
+        q[k] = c
+        for i, x in enumerate(b.coeffs):
+            r[k + i] -= c * x
+        while r and r[-1] == 0:
+            r.pop()
+    if exact and r:
+        raise ValueError("inexact polynomial division")
+    return IntPoly(q), IntPoly(r)
+
+
 def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over Q with positive leading coefficient."""
+    """Primitive gcd over Q with positive leading coefficient.
+
+    Primitive Euclid: each pseudo-remainder is divided by its content.
+    """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    g = sympy.gcd(a.to_sympy(), b.to_sympy())
-    return IntPoly.from_sympy(g).primitive()
+    a, b = a.primitive(), b.primitive()
+    while not b.is_zero():
+        a, b = b, _divide(a, b, exact=False)[1].primitive()
+    return a
 
 
 def divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact quotient a/b; raises if b does not divide a in Q[t] with integer result."""
-    q, r = sympy.div(a.to_sympy(), b.to_sympy())
-    if not r.is_zero:
-        raise ValueError("inexact polynomial division")
-    out = sympy.Poly(q, _T)
-    coeffs = list(reversed(out.all_coeffs()))
-    if any(sympy.Rational(c).q != 1 for c in coeffs):
-        raise ValueError("non-integer quotient")
-    return IntPoly([int(c) for c in coeffs])
+    return _divide(a, b, exact=True)[0]
 
 
 def radical(p: IntPoly) -> IntPoly:
@@ -220,25 +233,3 @@ def radical(p: IntPoly) -> IntPoly:
         return p.primitive()
     # primitive gcd divides the primitive part exactly over Z (Gauss)
     return divexact(p.primitive(), g).primitive()
-
-
-def discriminant(p: IntPoly) -> int:
-    """Exact discriminant via the resultant with the derivative.
-
-    Standard normalization: disc = (-1)^(n(n-1)/2) res(p, p') / lc(p).
-    Linear polynomials have discriminant 1 by convention.
-    """
-    n = p.degree
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return 1
-    res = sympy.resultant(p.to_sympy().as_expr(), p.derivative().to_sympy().as_expr(), _T)
-    val = Fraction(int(res), p.leading())
-    val *= (-1) ** (n * (n - 1) // 2)
-    assert val.denominator == 1
-    return int(val)
-
-
-def resultant(a: IntPoly, b: IntPoly) -> int:
-    return int(sympy.resultant(a.to_sympy().as_expr(), b.to_sympy().as_expr(), _T))

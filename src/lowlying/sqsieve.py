@@ -71,6 +71,26 @@ def nu(D: IntPoly, d: int) -> int:
     return out
 
 
+def _local_factors(f: FamilyDef, p_max: int):
+    """(p, sieved residues mod p^2, 1 - nu(p)/p^2) for primes p <= p_max.
+
+    The residues are the roots of D mod p^2; a prime dividing the
+    exceptional square B is not sieved, so it yields none and factor 1.
+    Ascending in p, so products over it are the same floats everywhere.
+    """
+    D = f.inv["D"]
+    for p in primes_upto(p_max):
+        if f.B % p == 0:
+            yield p, [], 1.0
+            continue
+        roots = _roots_mod_psq(D, p)
+        if len(roots) == p * p:
+            raise ZeroDensityError(
+                f"nu({p}) = {p}^2: every t has {p}^2 | D(t); set the "
+                f"exceptional square B to absorb this prime")
+        yield p, roots, 1.0 - len(roots) / (p * p)
+
+
 @dataclass
 class SieveReport:
     N: int
@@ -114,18 +134,10 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
     good = np.ones(length, dtype=bool)
     nu_table = {1: 1}
     c = 1.0  # cardinality_constant(f, d_max), from the roots found here
-    for p in primes_upto(d_max):
-        if B % p == 0:
-            nu_table[p] = 0  # excluded: exceptional prime
-            continue
-        roots = _roots_mod_psq(D, p)
-        nu_table[p] = len(roots)
-        if len(roots) == p * p:
-            raise ZeroDensityError(
-                f"nu({p}) = {p}^2: every t has {p}^2 | D(t); set the "
-                f"exceptional square B to absorb this prime")
+    for p, roots, factor in _local_factors(f, d_max):
+        nu_table[p] = len(roots)  # 0 for an exceptional prime
+        c *= factor
         m = p * p
-        c *= 1.0 - len(roots) / m
         for r in roots:
             start = (r - N) % m
             good[start::m] = False
@@ -151,16 +163,6 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
 
 def cardinality_constant(f: FamilyDef, p_max: int = 1000) -> float:
     """Truncated density product  prod_{p <= p_max, p not | B} (1 - nu(p)/p^2)."""
-    D = f.inv["D"]
-    if D.is_constant():
+    if f.inv["D"].is_constant():
         return 1.0
-    out = 1.0
-    for p in primes_upto(p_max):
-        if f.B % p == 0:
-            continue
-        np_ = len(_roots_mod_psq(D, p))
-        if np_ == p * p:
-            raise ZeroDensityError(
-                f"nu({p}) = {p}^2 gives zero density; set B to absorb {p}")
-        out *= 1.0 - np_ / (p * p)
-    return out
+    return math.prod(factor for *_, factor in _local_factors(f, p_max))

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,14 +70,21 @@ def test_density_report(capsys):
     assert set(obj["predictions"]) == {"SOeven", "O", "SOodd", "Sp", "U"}
 
 
-def test_report_determinism_across_threads(capsys, monkeypatch):
-    monkeypatch.setenv("LOWLYING_THREADS", "1")
-    _, out1 = run(capsys, "report", "--family", "F1", "--N", "200",
-                  "--testfn", "fejer:0.25")
-    monkeypatch.setenv("LOWLYING_THREADS", str(os.cpu_count() or 8))
-    _, out2 = run(capsys, "report", "--family", "F1", "--N", "200",
-                  "--testfn", "fejer:0.25")
-    assert strip_stamp(out1) == strip_stamp(out2)
+def test_report_determinism_across_threads():
+    """Same report bytes with library thread pools at 1 and at every CPU."""
+    outs = []
+    for n in (1, os.cpu_count() or 8):
+        env = dict(os.environ, OMP_NUM_THREADS=str(n),
+                   OPENBLAS_NUM_THREADS=str(n))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            env.get("PYTHONPATH")]))
+        p = subprocess.run(
+            [sys.executable, "-m", "lowlying.cli", "report", "--family", "F1",
+             "--N", "200", "--testfn", "fejer:0.25"],
+            capture_output=True, text=True, env=env, check=True)
+        outs.append(strip_stamp(p.stdout))
+    assert outs[0] == outs[1]
 
 
 def test_verify_kernels_small(capsys):

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowlying.polyint import (IntPoly, discriminant, divexact, gcd, poly,
-                              radical, resultant)
+from lowlying.family import PRESETS
+from lowlying.polyint import IntPoly, divexact, gcd, poly, radical
 
 small_polys = st.lists(st.integers(-50, 50), min_size=0, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
@@ -31,20 +36,6 @@ def test_radical_examples():
     assert radical(poly(-1, 1) ** 2 * poly(2, 1)) == poly(-1, 1) * poly(2, 1)
 
 
-def test_discriminant():
-    # t^2 - 1 -> 4; quadratic b^2 - 4ac convention
-    assert discriminant(poly(-1, 0, 1)) == 4
-    assert discriminant(poly(13, 60, 144)) == 60 * 60 - 4 * 144 * 13
-    assert discriminant(poly(7, 9)) == 1  # linear convention
-    with pytest.raises(ValueError):
-        discriminant(poly(3))
-
-
-def test_resultant():
-    assert resultant(poly(-1, 1), poly(-2, 1)) != 0
-    assert resultant(poly(-1, 1), poly(1, -1)) == 0
-
-
 def test_compose_affine():
     p = poly(13, 60, 144)
     q = poly(9, 3, 1).compose_affine(12, 1)
@@ -54,6 +45,10 @@ def test_compose_affine():
 def test_divexact_errors():
     with pytest.raises(ValueError):
         divexact(poly(1, 1), poly(0, 1))
+    with pytest.raises(ValueError):
+        divexact(poly(1, 1), poly(2, 2))  # quotient 1/2
+    with pytest.raises(ZeroDivisionError):
+        divexact(poly(1, 1), IntPoly())
 
 
 @given(small_polys, small_polys, st.integers(-1000, 1000))
@@ -98,3 +93,63 @@ def test_radical_kills_powers(p, k):
     if p.is_constant():
         return
     assert radical(p ** k) == radical(p)
+
+
+# -- sympy as the oracle ---------------------------------------------------
+
+_T = sympy.Symbol("t")
+
+
+def _to_sympy(p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], _T, domain="ZZ")
+
+
+def _from_sympy(p):
+    return IntPoly(list(reversed(sympy.Poly(p, _T).all_coeffs())))
+
+
+def _sympy_radical(p):
+    g = sympy.gcd(_to_sympy(p), _to_sympy(p.derivative()))
+    q, r = sympy.div(_to_sympy(p), g)
+    assert r.is_zero
+    return _from_sympy(q).primitive()
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=200, deadline=None)
+def test_gcd_divexact_radical_match_sympy(common, a, b):
+    # products sharing a random factor, so the gcd is rarely 1
+    pa, pb = a * common, b * common
+    g = gcd(pa, pb)
+    assert g == _from_sympy(sympy.gcd(_to_sympy(pa), _to_sympy(pb))).primitive()
+    q, r = sympy.div(_to_sympy(pa), _to_sympy(common))
+    assert r.is_zero and divexact(pa, common) == _from_sympy(q) == a
+    assert divexact(pa, g) * g == pa
+    if not pa.is_constant():
+        assert radical(pa) == _sympy_radical(pa)
+
+
+def test_preset_invariants_match_sympy():
+    for name, f in PRESETS.items():
+        inv = f.inv
+        D = _sympy_radical(inv["delta"])
+        if inv["c4"].is_zero():
+            D1 = poly(1)
+        else:
+            rc4 = _sympy_radical(inv["c4"])
+            D1 = _from_sympy(sympy.gcd(_to_sympy(D), _to_sympy(rc4))).primitive()
+        q, r = sympy.div(_to_sympy(D), _to_sympy(D1))
+        assert r.is_zero
+        D2 = _from_sympy(q).primitive()
+        assert (inv["D"], inv["D1"], inv["D2"]) == (D, D1, D2), name
+
+
+def test_cli_import_leaves_sympy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    code = "import lowlying.cli, sys; assert 'sympy' not in sys.modules"
+    p = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
