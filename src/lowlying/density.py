@@ -29,6 +29,7 @@ from .family import FamilyDef, n_minus as family_n_minus
 from .modarith import a_p, ap_table, primes_upto
 from .predict import GROUPS, predict_d1, predict_d2
 from .sqsieve import enumerate_good
+from .tate import conductor
 from .testfn import TestFn, product_fn
 
 
@@ -74,8 +75,6 @@ def log_conductors(f: FamilyDef, ts):
         vals = np.array([math.log(abs(f.expected_conductor.eval(int(t))))
                          for t in ts])
         return vals, 0
-    from .tate import conductor
-
     out = np.empty(ts.size)
     incomplete = 0
     for i, t in enumerate(ts):

@@ -49,25 +49,26 @@ def predict_d2(group: str, g1: TestFn, g2: TestFn, r: int = 0) -> float:
 
     The orthogonal flavors are
       [ghat1(0)+g1(0)/2][ghat2(0)+g2(0)/2] + 2*int|u| ghat1 ghat2
-      - 2*int g1 g2 - g1(0)g2(0) + c(G)*g1(0)g2(0)
-    plus the rank terms (r^2-r)g1(0)g2(0) + r ghat1(0)g2(0)
-    + r g1(0)ghat2(0).  Sp is the c = 0 value minus
-    g1(0)ghat2(0) + ghat1(0)g2(0) - 2 g1(0)g2(0).  U is
-    ghat1(0)ghat2(0) + int|u| ghat1 ghat2 - int g1 g2, without rank terms.
+      - 2*int g1 g2 - g1(0)g2(0) + c(G)*g1(0)g2(0).
+    Sp is the c = 0 value minus g1(0)ghat2(0) + ghat1(0)g2(0)
+    - 2 g1(0)g2(0).  U is ghat1(0)ghat2(0) + int|u| ghat1 ghat2
+    - int g1 g2.  Every group, U included, adds the rank terms of the r
+    forced central zeros, (r^2-r)g1(0)g2(0) + r ghat1(0)g2(0)
+    + r g1(0)ghat2(0), as predict_d1 adds r*g(0).
     """
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     if g1.sigma + g2.sigma >= 1.0:
         raise ValueError("2-level prediction needs sigma1 + sigma2 < 1")
     fun = functionals(g1, g2)
+    rank = ((r * r - r) * g1.f0 * g2.f0
+            + r * g1.fhat0 * g2.f0 + r * g1.f0 * g2.fhat0)
     if group == "U":
-        return g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"]
+        return g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"] + rank
     c = C_OF_GROUP[group]
     base = ((g1.fhat0 + 0.5 * g1.f0) * (g2.fhat0 + 0.5 * g2.f0)
             + 2.0 * fun["I_abs"] - 2.0 * fun["P0"] - g1.f0 * g2.f0
             + c * g1.f0 * g2.f0)
-    rank = ((r * r - r) * g1.f0 * g2.f0
-            + r * g1.fhat0 * g2.f0 + r * g1.f0 * g2.fhat0)
     val = base + rank
     if group == "Sp":
         val = val - g1.f0 * g2.fhat0 - g1.fhat0 * g2.f0 + 2.0 * g1.f0 * g2.f0

@@ -401,16 +401,21 @@ def _iroot(n: int, k: int) -> int:
 def conductor(f: FamilyDef, t: int, budget: int = 64):
     """Conductor of the fiber at t as (C, complete).
 
-    complete is False when the discriminant factorization left a hard
-    cofactor; the cofactor is then assumed square-free and coprime to
+    The bad primes are those of content(delta) * D(t): with
+    delta = content * prod R_i^e_i over primitive irreducible R_i and
+    D = prod R_i, p | delta(t) exactly when p | content * D(t), and that
+    number is far smaller than delta(t) (e.g. 2^12 3^9 (9t+1) against
+    2^12 3^9 (9t+1)^4 for F1).  Each bad prime's exponent comes from
+    tate_local on the fiber's own model.
+
+    complete is False when the factorization left a hard cofactor; the
+    cofactor of content * D(t) is then assumed square-free and coprime to
     c4(t), contributing exponent 1 per hidden prime, so C is exact under
-    that documented assumption (its radical multiplies in).
+    that documented assumption (its radical multiplies in, once).
     """
-    delta = f.delta_at(t)
-    if delta == 0:
-        raise SingularFiberError(f"singular fiber at t={t}")
-    ai = f.specialize(t)
-    fac = factorize(abs(delta), budget=budget)
+    ai = f.specialize(t)  # raises SingularFiberError where delta(t) = 0
+    bad = f.inv["delta"].content() * f.inv["D"].eval(t)
+    fac = factorize(abs(bad), budget=budget)
     C = 1
     for p in sorted(fac.prime_powers):
         C *= p ** tate_local(ai, p).f_p

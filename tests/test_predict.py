@@ -52,6 +52,17 @@ def test_d2_rank_terms():
                - 0.9) < 1e-12
 
 
+def test_d2_unitary_rank_terms():
+    # the r forced central zeros add the same terms to U as to SOeven
+    f, g = make_fejer(0.45), make_fejer(0.3)
+    for r in (1, 2, 6):
+        u = predict_d2("U", f, g, r) - predict_d2("U", f, g, 0)
+        e = predict_d2("SOeven", f, g, r) - predict_d2("SOeven", f, g, 0)
+        assert abs(u - e) < 1e-12, r
+    assert abs(predict_d2("U", f, f, 2) - predict_d2("U", f, f, 0)
+               - (2 * f.f0 ** 2 + 4 * f.fhat0 * f.f0)) < 1e-12
+
+
 def test_d2_sp_example():
     f = make_fejer(0.45)
     diff = predict_d2("Sp", f, f, 0) - predict_d2("SOeven", f, f, 0)

@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowlying.family import _bc_invariants, get_family, sign
+from lowlying.family import _bc_invariants, get_family, load_family, sign
 from lowlying.modarith import a_p_enumerate, chi_table, is_prime, primes_upto
+from lowlying.sqsieve import enumerate_good
 from lowlying.tate import (_vp, conductor, factorize, tate_local,
                            tate_local_full, tate_local_shortcut)
 
@@ -107,6 +109,55 @@ def test_conductor_matches_f1_f2():
             from sympy import factorint
             if all(e == 1 for e in factorint(fam.inv["D"].eval(t)).values()):
                 assert C == exp, (name, t, C, exp)
+
+
+# The slow route: every prime of the full discriminant delta(t).  rank6 is
+# left out because its delta(t) has 124 digits, which factorize cannot
+# split within the time budget of the unit tests.
+ORACLE_FAMILIES = ["F1", "F2plus", "F2minus", "washington", "rank1",
+                   Path(__file__).resolve().parents[1] / "perfbench" / "F1-tate.json"]
+
+
+@pytest.mark.parametrize("name", ORACLE_FAMILIES,
+                         ids=lambda n: getattr(n, "name", n))
+def test_conductor_matches_delta_route(name):
+    f = load_family(name) if isinstance(name, Path) else get_family(name)
+    content = f.inv["delta"].content()
+    # the partial sieve keeps fibers with square factors beyond d_max
+    ts = list(range(-50, 51)) + [int(t) for t in enumerate_good(f, 1000).good_t[:150]]
+    checked = 0
+    for t in ts:
+        delta = f.delta_at(t)
+        if delta == 0:
+            continue
+        full = factorize(abs(delta))
+        short = factorize(abs(content * f.inv["D"].eval(t)))
+        assert full.cofactor == short.cofactor == 1, t
+        assert set(full.prime_powers) == set(short.prime_powers), t
+        ai = f.specialize(t)
+        want = math.prod(p ** tate_local(ai, p).f_p for p in full.prime_powers)
+        assert conductor(f, t) == (want, True), t
+        checked += 1
+    assert checked >= 240
+
+
+def test_conductor_incomplete_multiplies_cofactor_once():
+    # 9t + 1 = q1 q2 with primes q1, q2 > 10^6 that budget=0 cannot split.
+    # F1's delta(t) = 2^12 3^9 (9t+1)^4, so the cofactor is left once, as the
+    # documented rule says, and not as (q1 q2)^4.  (On F1 the rule's
+    # multiplicative assumption is false: c4 = 0 and the true exponent is 2.)
+    q1, q2 = (next(q for q in range(start, start + 10 ** 4, 18) if is_prime(q))
+              for start in (10 ** 6 + 9, 2 * 10 ** 6 + 17))
+    assert q1 % 9 == q2 % 9 == 1 and q1 < q2
+    n = q1 * q2
+    f1 = get_family("F1")
+    t = (n - 1) // 9
+    assert f1.inv["D"].eval(t) == n
+    C, complete = conductor(f1, t, budget=0)
+    assert not complete
+    assert C % n == 0 and math.gcd(C // n, n) == 1
+    assert C == n * math.prod(p ** tate_local(f1.specialize(t), p).f_p
+                              for p in (2, 3))
 
 
 def test_shortcut_rescales_nonminimal_model_with_a2():
