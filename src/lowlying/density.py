@@ -11,16 +11,17 @@ Averaging over the sieve's good set gives the empirical density; the
 2-level estimator combines the per-curve product with the 1-level run
 on the pointwise product test function and the odd-sign fraction.
 
-Computation is prime-major: one table of a_t(p) per residue class mod p
-serves every t at once.  The per-curve sums accumulate in prime order
-and the averages over the good set are correctly rounded (math.fsum),
-so reports are bit-identical across thread counts.
+Both estimators share one setup (sieve, log C(t), normalization) and one
+prime-major walk: each prime's a_t(p) row, looked up from one table per
+residue class mod p, serves every t and every test function of the run
+(g, or g1, g2 and g1*g2) at once.  The per-curve sums accumulate in
+prime order and the averages over the good set are correctly rounded
+(math.fsum), so reports are bit-identical across thread counts.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,49 +112,54 @@ def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
     return S1, S2
 
 
-def _s_sum_arrays(f: FamilyDef, ts, g: TestFn, logC, p_min=5):
-    """Vectorized S1(t), S2(t) over all good t, prime-major."""
+def _s_sum_arrays(f: FamilyDef, ts, gs, logC, p_min=5):
+    """Vectorized [(S1(t), S2(t)) for g in gs] over all good t.
+
+    One prime-major walk fetches each prime's a_t(p) row at most once.
+    Each g keeps its own cutoff C_max^sigma, zero-weight skip and per-t
+    accumulation in prime order, as in a walk made for it alone.
+    """
     ts = np.asarray(ts, dtype=np.int64)
-    S1 = np.zeros(ts.size)
-    S2 = np.zeros(ts.size)
-    pmax = int(math.exp(float(np.max(logC)) * g.sigma)) + 1
-    for p in primes_upto(pmax):
+    log_cmax = float(np.max(logC))
+    pmaxs = [int(math.exp(log_cmax * g.sigma)) + 1 for g in gs]
+    sums = [(np.zeros(ts.size), np.zeros(ts.size)) for _ in gs]
+    for p in primes_upto(max(pmaxs)):
         if p <= p_min:
             continue
         x = math.log(p) / logC
-        w1 = g.fhat(x)
-        w2 = g.fhat(2.0 * x)
-        if not (np.any(w1) or np.any(w2)):
-            continue
-        ap = ap_table(f, p)[ts % p].astype(np.float64)
-        S1 += (-2.0 / p) * x * w1 * ap
-        S2 += (-2.0 / (p * p)) * x * w2 * ap * ap
-    return S1, S2
+        ap = None
+        for g, pmax, (S1, S2) in zip(gs, pmaxs, sums):
+            if p > pmax:
+                continue
+            w1 = g.fhat(x)
+            w2 = g.fhat(2.0 * x)
+            if not (np.any(w1) or np.any(w2)):
+                continue
+            if ap is None:
+                ap = ap_table(f, p)[ts % p].astype(np.float64)
+            S1 += (-2.0 / p) * x * w1 * ap
+            S2 += (-2.0 / (p * p)) * x * w2 * ap * ap
+    return sums
 
 
-def _prep(f, N, d_max):
-    rep = enumerate_good(f, N, d_max=d_max)
-    ts = rep.good_t
+def _prep(f, N, mode):
+    """(good t in [N, 2N], normalized log C(t), incomplete conductors)."""
+    if mode not in ("PerCurve", "AverageLogConductor"):
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    ts = enumerate_good(f, N).good_t
     if ts.size == 0:
         raise ValueError("empty good-t set")
-    return ts
-
-
-def _normalize(logC, mode):
+    logC, incomplete = log_conductors(f, ts)
     if mode == "AverageLogConductor":
-        return np.full_like(logC, _mean(logC))
-    if mode != "PerCurve":
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    return logC
+        logC = np.full_like(logC, _mean(logC))
+    return ts, logC, incomplete
 
 
 def d1_empirical(f: FamilyDef, N: int, g: TestFn, mode: str = "PerCurve",
-                 p_min: int = 5, d_max: int | None = None) -> DensityReport:
+                 p_min: int = 5) -> DensityReport:
     """Average of [ghat(0) + g(0) + S1 + S2] over the good set in [N, 2N]."""
-    ts = _prep(f, N, d_max)
-    logC, incomplete = log_conductors(f, ts)
-    logC = _normalize(logC, mode)
-    S1, S2 = _s_sum_arrays(f, ts, g, logC, p_min=p_min)
+    ts, logC, incomplete = _prep(f, N, mode)
+    [(S1, S2)] = _s_sum_arrays(f, ts, (g,), logC, p_min=p_min)
     s1, s2 = _mean(S1), _mean(S2)
     D1 = g.fhat0 + g.f0 + s1 + s2
     preds = {grp: predict_d1(grp, g, f.rank) for grp in GROUPS}
@@ -166,38 +172,25 @@ def d1_empirical(f: FamilyDef, N: int, g: TestFn, mode: str = "PerCurve",
 
 
 def d2_empirical(f: FamilyDef, N: int, g1: TestFn, g2: TestFn,
-                 mode: str = "PerCurve", p_min: int = 5,
-                 d_max: int | None = None, sigma_bound: float = 1.0,
-                 n_minus_value: float | None = None) -> DensityReport:
+                 mode: str = "PerCurve", p_min: int = 5) -> DensityReport:
     """Two-level estimator.
 
     avg_t prod_i [ghat_i(0)+g_i(0)+S_{i,1}+S_{i,2}]
       - 2 * D1(g1*g2) + g1(0)g2(0) * N(F,-1).
+    An inadmissible pair (sigma1 + sigma2 >= 1) raises before any work.
     """
-    admissible = g1.sigma + g2.sigma < sigma_bound
-    if not admissible:
-        warnings.warn("test-function supports exceed the admissibility "
-                      "bound; run proceeds, flagged non-admissible")
-    ts = _prep(f, N, d_max)
-    logC, incomplete = log_conductors(f, ts)
-    logC = _normalize(logC, mode)
-    S11, S12 = _s_sum_arrays(f, ts, g1, logC, p_min=p_min)
-    if g2 is g1:
-        S21, S22 = S11, S12
-    else:
-        S21, S22 = _s_sum_arrays(f, ts, g2, logC, p_min=p_min)
+    if g1.sigma + g2.sigma >= 1.0:
+        raise ValueError("2-level density needs sigma1 + sigma2 < 1, got "
+                         f"{g1.sigma} + {g2.sigma}")
+    ts, logC, incomplete = _prep(f, N, mode)
+    gp = product_fn(g1, g2)
+    (S11, S12), (S21, S22), (P1, P2) = _s_sum_arrays(
+        f, ts, (g1, g2, gp), logC, p_min=p_min)
     prod = ((g1.fhat0 + g1.f0 + S11 + S12)
             * (g2.fhat0 + g2.f0 + S21 + S22))
     avg_prod = _mean(prod)
-    gp = product_fn(g1, g2)
-    P1, P2 = _s_sum_arrays(f, ts, gp, logC, p_min=p_min)
     d1_prod = gp.fhat0 + gp.f0 + _mean(P1) + _mean(P2)
-    if n_minus_value is None:
-        if f.sign_rule.kind == "Equidistributed":
-            n_minus_value = 0.5
-        else:
-            sample = [int(t) for t in ts[: min(ts.size, 200)]]
-            n_minus_value = float(family_n_minus(f, sample))
+    n_minus_value = float(family_n_minus(f, [int(t) for t in ts[:200]]))
     D2 = avg_prod - 2.0 * d1_prod + g1.f0 * g2.f0 * n_minus_value
     preds = {grp: predict_d2(grp, g1, g2, f.rank) for grp in GROUPS}
     resid = {grp: abs(D2 - v) for grp, v in preds.items()}
@@ -209,4 +202,4 @@ def d2_empirical(f: FamilyDef, N: int, g1: TestFn, g2: TestFn,
         D1_emp=g1.fhat0 + g1.f0 + s1 + s2, S1_avg=s1, S2_avg=s2,
         D2_emp=D2, n_minus_used=n_minus_value, predictions=preds,
         residuals=resid, abc_flag=f.abc_flag,
-        incomplete_conductors=incomplete, admissible=admissible)
+        incomplete_conductors=incomplete)

@@ -114,7 +114,7 @@ def invariants(f: FamilyDef) -> dict:
     """Standard Weierstrass quantities of the family as polynomials.
 
     D is the primitive square-free part of the discriminant; D1 collects
-    the factors shared with c4, D2 = D/D1 the rest (M = D2).
+    the factors shared with c4, D2 = D/D1 the rest.
     """
     b2, b4, b6, b8, c4, c6, delta = _bc_invariants(f.a1, f.a2, f.a3, f.a4,
                                                    f.a6)
@@ -129,7 +129,7 @@ def invariants(f: FamilyDef) -> dict:
         D1 = gcd(D, radical(c4))
     D2 = divexact(D, D1).primitive()
     return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
-            "delta": delta, "D": D, "D1": D1, "D2": D2, "M": D2}
+            "delta": delta, "D": D, "D1": D1, "D2": D2}
 
 
 def is_rational_surface(f: FamilyDef):

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from .family import FamilyDef, SingularFiberError, _bc_invariants
 from .modarith import is_prime, primes_upto
 
-_TRIAL_BOUND = 10 ** 6
-
 
 @dataclass
 class LocalData:
@@ -312,18 +310,14 @@ def _brent(n: int, seed: int = 1) -> int:
     return g
 
 
-@functools.cache
-def _full_trial_primes():
-    return primes_upto(_TRIAL_BOUND)
-
-
 def factorize(n: int, budget: int = 64) -> Factorization:
-    """Trial division (to 10^6) then Pollard rho / Brent.
+    """Trial division by the primes below 10^4, then Pollard rho / Brent.
 
-    Small primes are stripped first; any composite remainder gets the
-    full trial-division bound, perfect-power detection, then rho.
-    budget caps the number of rho seeds; a surviving cofactor is
-    reported as incomplete data, not an error.
+    A composite remainder goes to the prime test, then perfect-power
+    detection, then rho.  budget caps the number of rho seeds per
+    composite; a surviving cofactor is reported as incomplete data, not
+    an error.  With budget=0 every composite remainder stays as the
+    cofactor, however small its prime factors above 10^4.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -348,54 +342,35 @@ def factorize(n: int, budget: int = 64) -> Factorization:
     stack, cofactor = [n], 1
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             record(m)
             continue
-        handled = False
-        for k in (2, 3, 5):  # perfect powers show up as square parts of D(t)^k
+        # perfect powers show up as square parts of D(t)^k; a k-th power of
+        # factors above 10^4 ~ 2^13.3 has k <= m.bit_length() // 13
+        for k in range(2, m.bit_length() // 13 + 1):
             root = _iroot(m, k)
             if root ** k == m:
                 stack.extend([root] * k)
-                handled = True
                 break
-        if handled:
-            continue
-        d = 1
-        for p in _full_trial_primes():
-            if p < 10 ** 4:
-                continue
-            if p * p > m:
-                d = m  # m is prime after full trial division
-                break
-            if m % p == 0:
-                d = p
-                break
-        if d == m:
-            record(m)
-            continue
-        if d == 1:
+        else:
             for seed in range(1, budget + 1):
                 d = _brent(m, seed)
                 if 1 < d < m:
+                    stack.extend((d, m // d))
                     break
             else:
                 cofactor *= m
-                continue
-        stack.extend((d, m // d))
     return Factorization(orig, powers, cofactor)
 
 
 def _iroot(n: int, k: int) -> int:
-    if k == 2:
-        return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    """floor(n^(1/k)) for n >= 1: integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def conductor(f: FamilyDef, t: int, budget: int = 64):

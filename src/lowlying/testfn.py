@@ -74,7 +74,6 @@ class TestFn:
     fhat: Callable = None
     f0: float = 0.0
     fhat0: float = 0.0
-    int_fhat: float = 0.0      # integral of fhat over R  (= f(0))
     int_box1: float = 0.0      # integral of fhat over [-1, 1]
 
     def __call__(self, x):
@@ -98,16 +97,21 @@ def _fejer_fhat(sigma):
     return fhat
 
 
-def make_fejer(sigma) -> TestFn:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+def _check_sigma(sigma) -> float:
     s = float(sigma)
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    return s
+
+
+def make_fejer(sigma) -> TestFn:
+    s = _check_sigma(sigma)
     if s <= 1.0:
         box1 = s  # full mass of the triangle
     else:
         box1 = 2.0 - 1.0 / s
     return TestFn(kind="fejer", sigma=s, f=_fejer_f(s), fhat=_fejer_fhat(s),
-                  f0=s, fhat0=1.0, int_fhat=s, int_box1=box1)
+                  f0=s, fhat0=1.0, int_box1=box1)
 
 
 def _bump_g(a):
@@ -139,18 +143,16 @@ def _bump_fhat(sigma):
 
 
 def make_smooth_bump(sigma) -> TestFn:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    s = float(sigma)
+    s = _check_sigma(sigma)
     fhat = _bump_fhat(s)
-    # int_{-s}^{s} (1-(u/s)^2)^2 du = 16 s / 15
-    int_fhat = 16.0 * s / 15.0
+    # g(0) = int_{-s}^{s} (1-(u/s)^2)^2 du = 16 s / 15
+    f0 = 16.0 * s / 15.0
     if s <= 1.0:
-        box1 = int_fhat
+        box1 = f0
     else:
         box1 = quad_panels(fhat, [-1.0, 0.0, 1.0])
     return TestFn(kind="smoothbump", sigma=s, f=_bump_f(s), fhat=fhat,
-                  f0=int_fhat, fhat0=1.0, int_fhat=int_fhat, int_box1=box1)
+                  f0=f0, fhat0=1.0, int_box1=box1)
 
 
 def make_testfn(spec: str) -> TestFn:
@@ -246,12 +248,10 @@ def product_fn(f1: TestFn, f2: TestFn) -> TestFn:
             out[inside] = np.sum(f1.fhat(x) * f2.fhat(ui - x) * w, axis=1)
             return out
 
-    g0 = f1.f0 * f2.f0
-    int_fhat = g0  # int ghat = g(0)
+    g0 = f1.f0 * f2.f0  # = int ghat
     if s <= 1.0:
         box1 = g0
     else:
         box1 = quad_panels(ghat, np.linspace(-1.0, 1.0, 33), order=16)
     return TestFn(kind=f"product({f1.kind},{f2.kind})", sigma=s, f=g,
-                  fhat=ghat, f0=g0, fhat0=fun["P0"], int_fhat=int_fhat,
-                  int_box1=box1)
+                  fhat=ghat, f0=g0, fhat0=fun["P0"], int_box1=box1)

@@ -61,6 +61,37 @@ def test_unknown_family_fails(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("predict", "--testfn", "fejer:nan"),
+    ("density", "--family", "F1", "--N", "300", "--testfn", "fejer:inf"),
+    ("density", "--family", "F1", "--N", "300", "--testfn", "fejer:0.2",
+     "--testfn2", "smoothbump:nan"),
+])
+def test_nonfinite_sigma_fails(capsys, argv):
+    status = main(list(argv))
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "error: sigma must be finite and positive" in captured.err
+
+
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    return env
+
+
+def test_density_inadmissible_pair_fails_fast():
+    # sigma1 + sigma2 = 1: rejected before the sieve and the prime walk
+    p = subprocess.run(
+        [sys.executable, "-m", "lowlying.cli", "density", "--family", "F1",
+         "--N", "300", "--testfn", "fejer:0.5", "--testfn2", "fejer:0.5"],
+        capture_output=True, text=True, env=_src_env(), timeout=30)
+    assert p.returncode == 2 and p.stdout == ""
+    assert "error:" in p.stderr and "sigma1 + sigma2 < 1" in p.stderr
+
+
 def test_density_report(capsys):
     status, out = run(capsys, "density", "--family", "F1", "--N", "300",
                       "--testfn", "fejer:0.25")
@@ -74,11 +105,8 @@ def test_report_determinism_across_threads():
     """Same report bytes with library thread pools at 1 and at every CPU."""
     outs = []
     for n in (1, os.cpu_count() or 8):
-        env = dict(os.environ, OMP_NUM_THREADS=str(n),
+        env = dict(_src_env(), OMP_NUM_THREADS=str(n),
                    OPENBLAS_NUM_THREADS=str(n))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parents[1] / "src"),
-            env.get("PYTHONPATH")]))
         p = subprocess.run(
             [sys.executable, "-m", "lowlying.cli", "report", "--family", "F1",
              "--N", "200", "--testfn", "fejer:0.25"],

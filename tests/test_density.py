@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lowlying import density
 from lowlying.density import (d1_empirical, d2_empirical, log_conductors,
                               s_sums, _s_sum_arrays)
-from lowlying.family import get_family
+from lowlying.family import SignRule, get_family
 from lowlying.testfn import make_fejer
 
 
@@ -13,7 +15,7 @@ def test_s_sums_dual_route():
     g = make_fejer(0.2)
     for t in (101, 1234, 5000):
         logC, _ = log_conductors(f1, [t])
-        arr = _s_sum_arrays(f1, [t], g, logC)
+        [arr] = _s_sum_arrays(f1, [t], (g,), logC)
         direct = s_sums(f1, t, g, log_C=float(logC[0]))
         assert abs(arr[0][0] - direct[0]) < 1e-12
         assert abs(arr[1][0] - direct[1]) < 1e-12
@@ -67,18 +69,38 @@ def test_normalization_modes():
 
 def test_d2_sign_term():
     f1 = get_family("F1")
+    even, odd = (dataclasses.replace(f1, sign_rule=SignRule(kind),
+                                     reparam=(1, 0))
+                 for kind in ("AllEven", "AllOdd"))
     g = make_fejer(0.15)
-    base = d2_empirical(f1, 300, g, g, n_minus_value=0.0)
-    shifted = d2_empirical(f1, 300, g, g, n_minus_value=0.5)
-    assert abs((shifted.D2_emp - base.D2_emp) - 0.5 * g.f0 * g.f0) < 1e-12
+    base = d2_empirical(even, 300, g, g)
+    shifted = d2_empirical(odd, 300, g, g)
+    assert (base.n_minus_used, shifted.n_minus_used) == (0.0, 1.0)
+    assert abs((shifted.D2_emp - base.D2_emp) - g.f0 * g.f0) < 1e-12
 
 
-def test_d2_inadmissible_warns():
+def test_d2_inadmissible_raises_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(density, "log_conductors",
+                        lambda *args: calls.append(args))
     f1 = get_family("F1")
-    g = make_fejer(0.15)
-    with pytest.warns(UserWarning):
-        rep = d2_empirical(f1, 200, g, g, sigma_bound=0.25)
-    assert not rep.admissible
+    for s1, s2 in ((0.5, 0.5), (0.7, 0.4)):
+        with pytest.raises(ValueError, match=r"sigma1 \+ sigma2 < 1"):
+            d2_empirical(f1, 200, make_fejer(s1), make_fejer(s2))
+    assert calls == []
+
+
+def test_d2_one_ap_table_per_prime(monkeypatch):
+    seen = []
+    real = density.ap_table
+
+    def counting(f, p):
+        seen.append(p)
+        return real(f, p)
+
+    monkeypatch.setattr(density, "ap_table", counting)
+    d2_empirical(get_family("F1"), 200, make_fejer(0.15), make_fejer(0.1))
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_d2_computes_log_conductors_once(monkeypatch):

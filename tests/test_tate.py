@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lowlying.family import _bc_invariants, get_family, load_family, sign
 from lowlying.modarith import a_p_enumerate, chi_table, is_prime, primes_upto
 from lowlying.sqsieve import enumerate_good
-from lowlying.tate import (_vp, conductor, factorize, tate_local,
+from lowlying.tate import (_iroot, _vp, conductor, factorize, tate_local,
                            tate_local_full, tate_local_shortcut)
 
 # Curves with well-known conductors, including wild 2- and 3-adic types.
@@ -85,6 +85,29 @@ def test_factorize_complete_moderate():
     fac = factorize(2 ** 10 * 3 ** 4 * 1009 * 99991)
     assert fac.cofactor == 1
     assert fac.prime_powers == {2: 10, 3: 4, 1009: 1, 99991: 1}
+    # q^2 r with primes q, r in (10^4, 10^6): no trial prime divides it,
+    # so rho splits it; with budget=0 it stays whole as the cofactor
+    q, r = 10007, 999983
+    fac = factorize(q * q * r)
+    assert fac.cofactor == 1 and fac.prime_powers == {q: 2, r: 1}
+    assert factorize(q * q * r, budget=0).cofactor == q * q * r
+
+
+@given(st.integers(1, 10 ** 120), st.integers(2, 19))
+@settings(max_examples=300, deadline=None)
+def test_iroot_is_floor_root(n, k):
+    r = _iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+def test_factorize_high_prime_powers():
+    # exponents beyond 5 on primes above the trial bound: the perfect-power
+    # step takes every k up to log(m) / log(10^4), with exact integer roots
+    q, r = 500009, 100003
+    for n, want in ((q ** 13, {q: 13}), (q ** 11 * r, {q: 11, r: 1}),
+                    (10007 ** 17 * r ** 2, {10007: 17, r: 2})):
+        fac = factorize(n)
+        assert fac.cofactor == 1 and fac.prime_powers == want
 
 
 def test_conductor_f1_examples():

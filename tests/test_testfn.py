@@ -32,6 +32,10 @@ def test_invalid_sigma():
         make_smooth_bump(-1.0)
     with pytest.raises(ValueError):
         make_testfn("sinc:1")
+    for sigma in (float("nan"), float("inf"), -float("inf")):
+        for make in (make_fejer, make_smooth_bump):
+            with pytest.raises(ValueError, match="finite and positive"):
+                make(sigma)
 
 
 def test_parse():
@@ -76,7 +80,7 @@ def test_quad_panels_unsorted_repeated_breakpoints():
     clean = quad_panels(tf.fhat, [-0.45, 0.0, 0.2, 0.45])
     messy = quad_panels(tf.fhat, [0.45, 0.0, -0.45, 0.2, 0.0, 0.45, -0.0])
     assert messy == clean
-    assert abs(clean - tf.int_fhat) < 1e-14
+    assert abs(clean - tf.f0) < 1e-14
 
 
 def test_fejer_nonnegative():
