@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,8 @@ from . import predict as predict_mod
 from .family import get_family, load_family
 from .modarith import (MomentTable, closed_form_moments, nagao_estimate,
                        primes_upto)
-from .sqsieve import enumerate_good
+from .sqsieve import (cardinality_constant, default_d_max,
+                      enumerate_good)
 from .tate import conductor
 from .testfn import make_testfn
 
@@ -132,19 +134,7 @@ def cmd_sieve(args, out):
 
 
 def _report_dict(rep):
-    return {
-        "family": rep.family, "N": rep.N,
-        "testfns": [list(t) for t in rep.testfns],
-        "normalization": rep.normalization, "p_min": rep.p_min,
-        "n_curves": rep.n_curves, "D1_emp": rep.D1_emp,
-        "D2_emp": rep.D2_emp, "S1_avg": rep.S1_avg, "S2_avg": rep.S2_avg,
-        "n_minus_used": rep.n_minus_used,
-        "predictions": rep.predictions, "residuals": rep.residuals,
-        "abc_flag": rep.abc_flag,
-        "incomplete_conductors": rep.incomplete_conductors,
-        "admissible": rep.admissible,
-        "note": CONDITIONALITY_NOTE,
-    }
+    return {**dataclasses.asdict(rep), "note": CONDITIONALITY_NOTE}
 
 
 def cmd_density(args, out):
@@ -203,7 +193,6 @@ def cmd_verify_kernels(args, out):
 def cmd_report(args, out):
     f = _family(args)
     g1 = make_testfn(args.testfn)
-    sieve_rep = enumerate_good(f, args.N)
     rep = density_mod.d1_empirical(f, args.N, g1, p_min=args.p_min)
     best = min(rep.residuals, key=lambda k: (rep.residuals[k], k))
     obj = {
@@ -211,8 +200,9 @@ def cmd_report(args, out):
             "family": args.family, "N": args.N, "testfn": args.testfn,
             "p_min": args.p_min,
         },
-        "sieve": {"good_count": int(sieve_rep.good_t.size),
-                  "c_F_estimate": sieve_rep.c_F_estimate},
+        "sieve": {"good_count": rep.n_curves,
+                  "c_F_estimate": cardinality_constant(
+                      f, default_d_max(args.N))},
         "density": _report_dict(rep),
         "closest_group": best,
         "conditionality": {

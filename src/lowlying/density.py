@@ -86,6 +86,18 @@ def log_conductors(f: FamilyDef, ts):
     return out, incomplete
 
 
+def _prime_cutoff(log_cmax: float, sigma: float) -> int:
+    """Sieve limit int(C_max^sigma) + 1 of a test function of support
+    sigma.  Refused above 10^9, where the sieve alone would outgrow
+    memory; compared in log space, so a huge sigma raises here instead of
+    overflowing exp."""
+    if log_cmax * sigma > math.log(1e9):
+        raise ValueError(
+            f"prime cutoff C_max^sigma exceeds 10^9: sigma = {sigma}, "
+            f"C_max = 10^{log_cmax / math.log(10):.2f}")
+    return int(math.exp(log_cmax * sigma)) + 1
+
+
 def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
            p_min: int = 5) -> tuple:
     """Direct per-curve prime sums (S1, S2); the simple reference route.
@@ -96,7 +108,7 @@ def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
     if log_C is None:
         log_C, _ = log_conductors(f, [t])
         log_C = float(log_C[0])
-    pmax = int(math.exp(log_C * g.sigma)) + 1
+    pmax = _prime_cutoff(log_C, g.sigma)
     S1 = S2 = 0.0
     for p in primes_upto(pmax):
         if p <= p_min:
@@ -121,7 +133,7 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC, p_min=5):
     """
     ts = np.asarray(ts, dtype=np.int64)
     log_cmax = float(np.max(logC))
-    pmaxs = [int(math.exp(log_cmax * g.sigma)) + 1 for g in gs]
+    pmaxs = [_prime_cutoff(log_cmax, g.sigma) for g in gs]
     sums = [(np.zeros(ts.size), np.zeros(ts.size)) for _ in gs]
     for p in primes_upto(max(pmaxs)):
         if p <= p_min:

@@ -1,8 +1,9 @@
 """Local reduction data via Tate's algorithm and global conductors.
 
-The conductor exponent at p > 3 on a p-minimal model only needs the
-valuations of the discriminant and c4 (0 / 1 / 2 rule); p = 2 and p = 3
-run the full step-by-step algorithm, including the non-minimal restart.
+One routine, `tate_local`, runs Tate's algorithm at every prime, 2 and 3
+included, with each coordinate change in closed form and a restart on
+non-minimal models.  `conductor` multiplies its exponents over the bad
+primes that `factorize` finds.
 """
 
 from __future__ import annotations
@@ -68,78 +69,13 @@ def _transform(ai, r, s, t, u=1):
     return (a1n, a2n, a3n, a4n, a6n)
 
 
-def _poly_roots_mod(coeffs_desc, p):
-    """Roots with multiplicity of a monic-ish polynomial mod small p,
-    by scanning and synthetic division."""
-    out = {}
-    cs = [c % p for c in coeffs_desc]
-    for r in range(p):
-        mult = 0
-        while True:
-            # synthetic division of cs by (X - r) mod p
-            acc = 0
-            q = []
-            for c in cs:
-                acc = (acc * r + c) % p
-                q.append(acc)
-            if acc != 0:
-                break
-            cs = q[:-1]
-            mult += 1
-            if not cs:
-                break
-        if mult:
-            out[r] = mult
-        if not cs:
-            break
-    return out
+def tate_local(ai, p: int) -> LocalData:
+    """Local reduction data at p by Tate's algorithm, at every prime.
 
-
-def _singular_point(ai, p):
-    """The singular point of the reduced curve mod p (additive or
-    multiplicative bad reduction)."""
-    a1, a2, a3, a4, a6 = (c % p for c in ai)
-    for x in range(p):
-        for y in range(p):
-            F = (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p
-            Fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-            Fy = (2 * y + a1 * x + a3) % p
-            if F == 0 and Fx == 0 and Fy == 0:
-                return x, y
-    raise AssertionError("no singular point found on a bad fiber")
-
-
-def _normalize_step6(ai, p):
-    """Find a translation making v(a1),v(a2) >= 1, v(a3),v(a4) >= 2,
-    v(a6) >= 3.  Existence is guaranteed at this stage of the algorithm."""
-    for s in range(p):
-        ai_s = _transform(ai, 0, s, 0)
-        if ai_s[0] % p or ai_s[1] % p:
-            continue
-        p2 = p * p
-        for r0 in range(p):
-            r = r0 * p  # keep the singular point at the origin
-            for t0 in range(p):
-                t = t0 * p
-                cand = _transform(ai_s, r, 0, t)
-                if (cand[2] % p2 == 0 and cand[3] % p2 == 0
-                        and cand[4] % p ** 3 == 0):
-                    return cand
-        # r, t may also need their mod-p parts adjusted
-        for r in range(p2):
-            for t in range(p2):
-                cand = _transform(ai_s, r, 0, t)
-                if (cand[0] % p == 0 and cand[1] % p == 0
-                        and cand[2] % p2 == 0 and cand[3] % p2 == 0
-                        and cand[4] % p ** 3 == 0):
-                    return cand
-    raise AssertionError("step-6 normalization failed")
-
-
-def tate_local_full(ai, p: int) -> LocalData:
-    """Full Tate's algorithm at p, valid for every prime (used in
-    production for p = 2, 3).  Handles non-minimal models by restarting
-    on the rescaled curve."""
+    Each coordinate change is in closed form (Cremona, Algorithms for
+    Modular Elliptic Curves, 3.2; Silverman, Advanced Topics, IV.9).
+    A model that is not minimal at p is rescaled by u = p and restarted.
+    """
     ai = tuple(int(x) for x in ai)
     while True:
         b2, b4, b6, b8, c4, c6, delta = _bc_invariants(*ai)
@@ -150,33 +86,47 @@ def tate_local_full(ai, p: int) -> LocalData:
             return LocalData(p, 0, "Good", "I0", ai)
         if c4 % p != 0:
             return LocalData(p, 1, "Multiplicative", f"I{n}", ai)
-        # additive reduction: move the singular point to the origin
-        x0, y0 = _singular_point(ai, p)
-        ai = _transform(ai, x0, 0, y0)
-        b2, b4, b6, b8, c4, c6, delta = _bc_invariants(*ai)
+        # additive reduction: move the singular point to (0, 0)
         a1, a2, a3, a4, a6 = ai
-        assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+        if p == 2:
+            r = a4 % 2
+            t = (((r + a2) * r + a4) * r + a6) % 2
+        elif p == 3:
+            r = -b6 % 3
+            t = (a1 * r + a3) % 3
+        else:
+            r = -b2 * pow(12, -1, p) % p
+            t = -(a1 * r + a3) * pow(2, -1, p) % p
+        if r or t:
+            ai = _transform(ai, r, 0, t)
+            b2, b4, b6, b8, c4, c6, delta = _bc_invariants(*ai)
+            a1, a2, a3, a4, a6 = ai
         if a6 % p ** 2 != 0:
             return LocalData(p, n, "Additive", "II", ai)
         if b8 % p ** 3 != 0:
             return LocalData(p, n - 1, "Additive", "III", ai)
         if b6 % p ** 3 != 0:
             return LocalData(p, n - 2, "Additive", "IV", ai)
-        ai = _normalize_step6(ai, p)
+        # make p | a1, a2; p^2 | a3, a4; p^3 | a6
+        if p == 2:
+            s, t = a2 % 2, 2 * (a6 // 4 % 2)
+        else:
+            h = (p + 1) // 2  # 1/2 mod p; p | a3, so a3 + 2t = -p a3
+            s, t = -a1 * h, -a3 * h
+        ai = _transform(ai, 0, s, t)
         a1, a2, a3, a4, a6 = ai
-        # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + a6/p^3 mod p
-        P = [1, a2 // p, a4 // p ** 2, a6 // p ** 3]
-        roots = _poly_roots_mod(P, p)
-        nroots = sum(roots.values())
-        disc = (18 * P[1] * P[2] * P[3] - 4 * P[1] ** 3 * P[3]
-                + P[1] ** 2 * P[2] ** 2 - 4 * P[2] ** 3 - 27 * P[3] ** 2)
-        if disc % p != 0:
+        # the cubic T^3 + b T^2 + c T + d mod p, its discriminant -w and x
+        b, c, d = a2 // p, a4 // p ** 2, a6 // p ** 3
+        w = (27 * d * d - b * b * c * c + 4 * b ** 3 * d - 18 * b * c * d
+             + 4 * c ** 3)
+        x = 3 * c - b * b
+        if w % p != 0:
             return LocalData(p, n - 4, "Additive", "I0*", ai)
-        if max(roots.values(), default=0) == 2:
-            # type I_m*: translate the double root of P to zero, then
+        if x % p != 0:
+            # type I_m*: translate the double root of the cubic to zero, then
             # peel off quadratics in Y and X until one is separable
-            t0 = next(r for r, m in roots.items() if m == 2)
-            ai = _transform(ai, p * t0, 0, 0)
+            r = c if p == 2 else (b * c - 9 * d) * pow(2 * x, -1, p)
+            ai = _transform(ai, p * (r % p), 0, 0)
             a1, a2, a3, a4, a6 = ai
             ix, iy = 3, 3
             mx, my = p * p, p * p
@@ -211,9 +161,8 @@ def tate_local_full(ai, p: int) -> LocalData:
             m = ix + iy - 5
             return LocalData(p, n - 4 - m, "Additive", f"I{m}*", ai)
         # triple root: translate it to zero
-        t0 = next(iter(roots)) if roots else 0
-        if roots:
-            ai = _transform(ai, p * t0, 0, 0)
+        r = b if p == 2 else -d if p == 3 else -b * pow(3, -1, p)
+        ai = _transform(ai, p * (r % p), 0, 0)
         a1, a2, a3, a4, a6 = ai
         a3t = a3 // p ** 2
         a6t = a6 // p ** 4
@@ -231,49 +180,6 @@ def tate_local_full(ai, p: int) -> LocalData:
             return LocalData(p, n - 8, "Additive", "II*", ai)
         # non-minimal: rescale by p and restart
         ai = _transform(ai, 0, 0, 0, u=p)
-
-
-def tate_local_shortcut(ai, p: int) -> LocalData:
-    """Conductor exponent at p > 3 from the valuation pattern of
-    (c4, c6, delta) after p-minimalization: 0 / 1 / 2.
-
-    A model that is not minimal at p is rescaled from its short model
-    y^2 = x^3 - 27 c4 x - 54 c6, which is integral and isomorphic to it
-    at every p > 3; rescaling the general model itself would first need a
-    translation whenever a1, a2 or a3 is nonzero.
-    """
-    assert p > 3
-    ai = tuple(int(x) for x in ai)
-    _, _, _, _, c4, c6, delta = _bc_invariants(*ai)
-    if delta == 0:
-        raise SingularFiberError("singular curve (zero discriminant)")
-    vd = _vp(delta, p)
-    vc4 = _vp(c4, p) if c4 else 10 ** 9
-    vc6 = _vp(c6, p) if c6 else 10 ** 9
-    u = 1
-    while vd >= 12 and vc4 >= 4 and vc6 >= 6:
-        vd -= 12
-        vc4 -= 4
-        vc6 -= 6
-        u *= p
-    if u != 1:
-        ai = _transform((0, 0, 0, -27 * c4, -54 * c6), 0, 0, 0, u=u)
-    if vd == 0:
-        return LocalData(p, 0, "Good", "I0", ai)
-    if vc4 == 0:
-        return LocalData(p, 1, "Multiplicative", f"I{vd}", ai)
-    kod = {2: "II", 3: "III", 4: "IV"}.get(vd, "I0*" if vd == 6 else
-                                           (f"I{vd - 6}*" if vc4 == 2 else
-                                            {8: "IV*", 9: "III*", 10: "II*"}.get(vd, "")))
-    return LocalData(p, 2, "Additive", kod or "additive", ai)
-
-
-def tate_local(ai, p: int) -> LocalData:
-    """Local reduction data at p: full algorithm for p in {2, 3},
-    valuation shortcut for p > 3."""
-    if p <= 3:
-        return tate_local_full(ai, p)
-    return tate_local_shortcut(ai, p)
 
 
 @functools.cache
@@ -373,7 +279,7 @@ def _iroot(n: int, k: int) -> int:
         r = s
 
 
-def conductor(f: FamilyDef, t: int, budget: int = 64):
+def conductor(f: FamilyDef, t: int):
     """Conductor of the fiber at t as (C, complete).
 
     The bad primes are those of content(delta) * D(t): with
@@ -390,7 +296,7 @@ def conductor(f: FamilyDef, t: int, budget: int = 64):
     """
     ai = f.specialize(t)  # raises SingularFiberError where delta(t) = 0
     bad = f.inv["delta"].content() * f.inv["D"].eval(t)
-    fac = factorize(abs(bad), budget=budget)
+    fac = factorize(abs(bad))
     C = 1
     for p in sorted(fac.prime_powers):
         C *= p ** tate_local(ai, p).f_p

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from lowlying import cli, density
 from lowlying.cli import main
+from lowlying.family import get_family
 
 
 def run(capsys, *argv):
@@ -90,6 +92,37 @@ def test_density_inadmissible_pair_fails_fast():
         capture_output=True, text=True, env=_src_env(), timeout=30)
     assert p.returncode == 2 and p.stdout == ""
     assert "error:" in p.stderr and "sigma1 + sigma2 < 1" in p.stderr
+
+
+def test_density_prime_cutoff_beyond_bound_fails(capsys):
+    # C_max^sigma overflows a float here; the bound is checked in log space
+    status = main(["density", "--family", "F1", "--N", "300",
+                   "--testfn", "fejer:1000"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "error:" in captured.err and "sigma" in captured.err
+
+
+@pytest.mark.parametrize("extra,sieves", [((), 1),
+                                          (("--testfn2", "fejer:0.15"), 2)])
+def test_report_sieves_once_per_density(capsys, monkeypatch, extra, sieves):
+    calls = []
+    real = cli.enumerate_good
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_good", counting)
+    monkeypatch.setattr(density, "enumerate_good", counting)
+    status, out = run(capsys, "report", "--family", "F1", "--N", "200",
+                      "--testfn", "fejer:0.2", *extra)
+    assert status == 0
+    obj = json.loads(strip_stamp(out))
+    assert len(calls) == sieves
+    sieve = real(get_family("F1"), 200)
+    assert obj["sieve"] == {"good_count": int(sieve.good_t.size),
+                            "c_F_estimate": sieve.c_F_estimate}
 
 
 def test_density_report(capsys):

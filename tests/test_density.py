@@ -28,6 +28,21 @@ def test_s_sums_empty_prime_range():
     assert S1 == 0.0 and S2 == 0.0
 
 
+def test_prime_cutoff_beyond_bound_raises_before_sieving(monkeypatch):
+    # F1 at N = 300 has C_max near 10^8.9, so sigma = 2 asks for primes to
+    # about 10^17.8; the spy fails the test rather than run that sieve
+    def refuse(n):
+        raise AssertionError(f"primes_upto({n}) called")
+
+    monkeypatch.setattr(density, "primes_upto", refuse)
+    f1 = get_family("F1")
+    g = make_fejer(2)
+    with pytest.raises(ValueError, match="sigma = 2"):
+        d1_empirical(f1, 300, g)
+    with pytest.raises(ValueError, match="C_max"):
+        s_sums(f1, 600, g)
+
+
 def test_f1_only_split_primes_contribute():
     f1 = get_family("F1")
     g = make_fejer(0.3)
