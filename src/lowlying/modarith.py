@@ -9,6 +9,12 @@ real FFT.  The correlations are integers, and their rounding error is
 asserted below 0.25 before rounding.  `a_p` computes one t directly as
 a character sum and `a_p_enumerate` counts points; both stay as
 independent references.
+
+A_1 needs no table when g(x, t) = 4x^3 + b2 x^2 + 2 b4 x + b6 has
+t-degree <= 2: swapping the sums over x and t leaves a closed form plus
+a sum over the roots mod p of the x-discriminant of g, found by one
+scan of its radical (`_a1_fast`).  `moment_sum(..., method="bruteforce")`
+sums the per-t `a_p` as its oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from math import isqrt, log
 import numpy as np
 
 from .family import FamilyDef
+from .polyint import IntPoly, radical
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -63,11 +70,13 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return _chi(a, p)
+
+
+def _chi(a: int, p: int) -> int:
+    """Legendre symbol (a|p) by Euler's criterion; p an odd prime."""
+    e = pow(a, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
 
 
 def cube_residue_indicator(a: int, p: int) -> int:
@@ -92,9 +101,12 @@ def _poly_mod_coeffs(q, p):
 
 def _poly_mod_vals(q, p, xs):
     """q(xs) mod p, vectorized Horner with pre-reduced coefficients."""
-    acc = np.zeros_like(xs)
-    for c in reversed(_poly_mod_coeffs(q, p)):
-        acc = (acc * xs + c) % p
+    cs = _poly_mod_coeffs(q, p)
+    acc = np.full_like(xs, cs[-1])
+    for c in reversed(cs[:-1]):
+        acc *= xs
+        acc += c
+        acc %= p
     return acc
 
 
@@ -207,50 +219,61 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
 
 # -- moment sums -----------------------------------------------------------
 
-def _g_t_degree(f: FamilyDef) -> int:
+def _a1_polys(f: FamilyDef):
+    """(alpha, gamma, rad Delta, content Delta) in x for `_a1_fast`, or
+    None when g(x, t) has t-degree > 2.  rad is None when Delta = 0."""
     inv = f.inv
-    return max(inv["b2"].degree, inv["b4"].degree, inv["b6"].degree, 0)
-
-
-def _a1_fast(f: FamilyDef, p: int) -> int:
-    """A_1(p) in O(p) via complete character sums over t.
-
-    Writing a_t(p) = -sum_x chi(g(x, t)) and swapping the order of
-    summation, the inner sum over t is a complete character sum of a
-    polynomial in t of degree <= 2, which has the standard closed values
-    (0 for a nondegenerate linear, -chi(lead) or (p-1)chi(lead) for a
-    quadratic, p*chi(const) for a constant).  Exact, valid for p > 3.
-    """
-    inv = f.inv
-    xs = np.arange(p, dtype=np.int64)
-    x3 = 4 * (xs * xs % p * xs) % p
-    b2c = _poly_mod_coeffs(inv["b2"], p)
-    b4c = [2 * c % p for c in _poly_mod_coeffs(inv["b4"], p)]
-    b6c = _poly_mod_coeffs(inv["b6"], p)
+    if max(inv[n].degree for n in ("b2", "b4", "b6")) > 2:
+        return None
 
     def tcoeff(k):
-        v = np.zeros(p, dtype=np.int64)
-        if k == 0:
-            v += x3
-        if k < len(b2c):
-            v += b2c[k] * (xs * xs % p)
-        if k < len(b4c):
-            v += b4c[k] * xs
-        if k < len(b6c):
-            v += b6c[k]
-        return v % p
+        # coefficient of t^k in g = 4x^3 + b2 x^2 + 2 b4 x + b6, in x
+        b2, b4, b6 = (inv[n].coeffs[k] if k <= inv[n].degree else 0
+                      for n in ("b2", "b4", "b6"))
+        return IntPoly([b6, 2 * b4, b2, 4 if k == 0 else 0])
 
-    al, be, ga = tcoeff(2), tcoeff(1), tcoeff(0)
-    chi = chi_table(p).astype(np.int64)
-    quad = al != 0
-    lin = (~quad) & (be != 0)
-    const = (~quad) & (~lin)
-    disc = (be * be - 4 * al * ga) % p
-    inner = np.zeros(p, dtype=np.int64)
-    inner[quad] = chi[al[quad]] * (p * (disc[quad] == 0) - 1)
-    inner[const] = p * chi[ga[const]]
-    # linear terms sum to zero over a full period
-    return -int(inner.sum(dtype=np.int64))
+    alpha, beta, gamma = tcoeff(2), tcoeff(1), tcoeff(0)
+    disc = beta * beta - 4 * alpha * gamma
+    rad = None if disc.is_zero() else radical(disc)
+    return alpha, gamma, rad, disc.content()
+
+
+def _a1_fast(polys, p: int) -> int:
+    """A_1(p) from a closed form and the roots of the x-discriminant.
+
+    polys is `_a1_polys(f)`.  Write a_t(p) = -sum_x chi(g(x, t)) with
+    g = alpha(x) t^2 + beta(x) t + gamma(x), and swap the sums.  For
+    each x the sum over t is a complete character sum of degree <= 2:
+    chi(alpha)(p [Delta = 0] - 1) if alpha != 0, 0 if alpha = 0 != beta,
+    and p chi(gamma) if alpha = beta = 0, where Delta = beta^2 -
+    4 alpha gamma.  Where alpha = 0, Delta = beta^2, so Delta = 0 forces
+    beta = 0 and the three cases are one:
+
+      A_1(p) = sum_x chi(alpha(x))
+               - p sum_{r : Delta(r) = 0} chi(alpha(r) if alpha(r) != 0
+                                              else gamma(r)).
+
+    alpha has x-degree <= 2, so its sum takes the same closed values:
+    -chi(a2), or (p-1) chi(a2) when its discriminant vanishes; 0 for a
+    linear alpha; p chi(a0) for a constant.  When p does not divide
+    content(Delta), the roots of Delta mod p are those of rad Delta
+    (one scan over x mod p); otherwise every residue is a root.  Exact,
+    valid for p > 3.
+    """
+    alpha, gamma, rad, content = polys
+    a0, a1, a2 = (_poly_mod_coeffs(alpha, p) + [0, 0])[:3]
+    if a2:
+        d = (a1 * a1 - 4 * a2 * a0) % p
+        total = _chi(a2, p) * (p - 1 if d == 0 else -1)
+    else:
+        total = 0 if a1 else p * _chi(a0, p)
+    roots = range(p)
+    if content % p:
+        xs = np.arange(p, dtype=np.int64)
+        roots = np.flatnonzero(_poly_mod_vals(rad, p, xs) == 0).tolist()
+    for r in roots:
+        total -= p * _chi(alpha.eval_mod(r, p) or gamma.eval_mod(r, p), p)
+    return total
 
 
 def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto",
@@ -258,6 +281,8 @@ def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto",
     """Exact A_r(p) = sum over t mod p of a_t(p)^r, for p > 3, r in {1,2}.
 
     table, if given, is ap_table(f, p), summed in place of a new one.
+    Without it, method "auto" takes A_1 from `_a1_fast` when g(x, t) has
+    t-degree <= 2.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("moment sums need a prime p > 3")
@@ -266,8 +291,10 @@ def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto",
     if method == "bruteforce":
         chi = chi_table(p)
         return sum(a_p(f, t, p, chi=chi) ** r for t in range(p))
-    if method == "auto" and r == 1 and _g_t_degree(f) <= 2:
-        return _a1_fast(f, p)
+    if method == "auto" and r == 1 and table is None:
+        polys = _a1_polys(f)
+        if polys is not None:
+            return _a1_fast(polys, p)
     tab = ap_table(f, p) if table is None else table
     return int((tab ** r).sum(dtype=object))
 
@@ -314,13 +341,18 @@ class MomentTable:
     @classmethod
     def build(cls, f: FamilyDef, p_max: int, second: bool = True):
         tab = cls(label=f.label, p_max=p_max)
+        polys = None if second else _a1_polys(f)
         for p in primes_upto(p_max):
             if p <= 3:
                 continue
-            # A2 needs the table, so A1 is summed from the same one
-            tab_p = ap_table(f, p) if second else None
-            a1 = moment_sum(f, p, 1, table=tab_p)
-            a2 = moment_sum(f, p, 2, table=tab_p) if second else None
+            if polys is not None:
+                a1, a2 = _a1_fast(polys, p), None
+            else:
+                # A2, or A1 past t-degree 2, needs the table; A1 and A2
+                # are summed from the same one
+                tab_p = ap_table(f, p)
+                a1 = moment_sum(f, p, 1, table=tab_p)
+                a2 = moment_sum(f, p, 2, table=tab_p) if second else None
             bound = p * (isqrt(4 * p) + 1)  # p summands, each |a_t| <= 2 sqrt p
             assert abs(a1) <= bound
             if a2 is not None:
@@ -339,6 +371,8 @@ class MomentTable:
 
 def nagao_estimate(f: FamilyDef, X: int) -> float:
     """-(1/X) sum_{p<=X} (A1(p)/p) log p using the fast first-moment path."""
+    if X < 2:
+        raise ValueError(f"X must be at least 2, got {X}")
     tab = MomentTable.build(f, X, second=False)
     return tab.nagao_sum(X)
 

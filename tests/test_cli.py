@@ -84,6 +84,17 @@ def _src_env():
     return env
 
 
+@pytest.mark.parametrize("X", ["0", "-7"])
+def test_rank_small_X_fails(X):
+    p = subprocess.run(
+        [sys.executable, "-m", "lowlying.cli", "rank", "--family",
+         "washington", "--X", X],
+        capture_output=True, text=True, env=_src_env(), timeout=30)
+    assert p.returncode == 2 and p.stdout == ""
+    assert "error: X must be at least 2" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 def test_density_inadmissible_pair_fails_fast():
     # sigma1 + sigma2 = 1: rejected before the sieve and the prime walk
     p = subprocess.run(

@@ -1,18 +1,23 @@
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowlying.family import get_family
+from lowlying import modarith
+from lowlying.family import FamilyDef, get_family, load_family
 from lowlying.modarith import (MomentTable, a_p, a_p_enumerate, ap_table,
                                chi_table, closed_form_moments,
                                cube_residue_indicator, is_prime, legendre,
                                moment_sum, nagao_estimate, primes_upto,
                                product_moment)
+from lowlying.polyint import IntPoly
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23]
+F1_TATE = Path(__file__).resolve().parent.parent / "perfbench" / "F1-tate.json"
 
 
 def test_primes_upto():
@@ -80,8 +85,10 @@ def test_hasse_bound():
 
 
 def test_moment_methods_agree():
-    for name in ("F1", "washington", "rank1"):
-        f = get_family(name)
+    fams = [get_family(name) for name in
+            ("F1", "F2plus", "F2minus", "washington", "rank1")]
+    fams.append(load_family(F1_TATE))
+    for f in fams:
         for p in (7, 13, 19):
             for r in (1, 2):
                 assert moment_sum(f, p, r, method="auto") == \
@@ -141,3 +148,63 @@ def test_moment_table_one_ap_table_per_prime(monkeypatch):
     for p, (a1, a2) in tab.entries.items():
         assert a1 == moment_sum(f, p, 1, method="bruteforce"), p
         assert a2 == moment_sum(f, p, 2, method="bruteforce"), p
+
+
+def _random_linear_family(rng, scale):
+    # every a_i linear in t, a1 and a3 nonzero; scale = 5 or 7 makes the
+    # t-part of each a_i divisible by that prime
+    def lin():
+        return IntPoly([rng.randint(-9, 9), scale * rng.randint(-3, 3)])
+
+    a1, a2, a3, a4, a6 = (lin() for _ in range(5))
+    a1 = a1 if not a1.is_zero() else IntPoly([1, scale])
+    a3 = a3 if not a3.is_zero() else IntPoly([2, scale])
+    return FamilyDef("random", a1, a2, a3, a4, a6)
+
+
+def test_a1_random_families_match_oracles():
+    rng = random.Random(20031)
+    small = [p for p in primes_upto(40) if p > 3]
+    content_hits = 0
+    for i in range(60):
+        f = _random_linear_family(rng, (1, 5, 7)[i % 3])
+        if f.inv["delta"].is_zero():
+            continue
+        content = modarith._a1_polys(f)[3]
+        for p in small + [101, 1009]:
+            content_hits += content % p == 0
+            fast = moment_sum(f, p, 1)
+            if p < 40:
+                assert fast == moment_sum(f, p, 1, method="bruteforce"), \
+                    (f, p)
+            else:
+                assert fast == int(ap_table(f, p).sum()), (f, p)
+    assert content_hits > 0  # the p | content(Delta) branch ran
+
+
+def test_nagao_estimate_needs_no_tables(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("table built on the first-moment path")
+
+    polys_calls = []
+    real = modarith._a1_polys
+
+    def counting(f):
+        polys_calls.append(f.label)
+        return real(f)
+
+    monkeypatch.setattr(modarith, "chi_table", forbidden)
+    monkeypatch.setattr(modarith, "ap_table", forbidden)
+    monkeypatch.setattr(modarith, "_a1_polys", counting)
+    f = get_family("washington")
+    est = nagao_estimate(f, 2000)
+    assert polys_calls == ["washington"]
+    want = -sum(closed_form_moments("washington", p)[0] / p * math.log(p)
+                for p in primes_upto(2000) if p > 3) / 2000
+    assert abs(est - want) < 1e-12
+
+
+@pytest.mark.parametrize("X", [1, 0, -7])
+def test_nagao_estimate_rejects_small_X(X):
+    with pytest.raises(ValueError, match="X must be at least 2"):
+        nagao_estimate(get_family("washington"), X)
