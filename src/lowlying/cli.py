@@ -24,8 +24,7 @@ from . import predict as predict_mod
 from .family import get_family, load_family
 from .modarith import (MomentTable, closed_form_moments, nagao_estimate,
                        primes_upto)
-from .sqsieve import (cardinality_constant, default_d_max,
-                      enumerate_good)
+from .sqsieve import enumerate_good
 from .tate import conductor
 from .testfn import make_testfn
 
@@ -140,15 +139,11 @@ def _report_dict(rep):
 def cmd_density(args, out):
     f = _family(args)
     g1 = make_testfn(args.testfn)
+    g2 = make_testfn(args.testfn2) if args.testfn2 else None
     mode = {"percurve": "PerCurve", "avglog": "AverageLogConductor"}[args.mode]
-    if args.testfn2:
-        g2 = make_testfn(args.testfn2)
-        rep = density_mod.d2_empirical(f, args.N, g1, g2, mode=mode,
-                                       p_min=args.p_min)
-    else:
-        rep = density_mod.d1_empirical(f, args.N, g1, mode=mode,
-                                       p_min=args.p_min)
-    _emit_json(out, _report_dict(rep))
+    _, rep1, rep2 = density_mod.densities(f, args.N, g1, g2, mode=mode,
+                                          p_min=args.p_min)
+    _emit_json(out, _report_dict(rep2 or rep1))
     return 0
 
 
@@ -193,7 +188,9 @@ def cmd_verify_kernels(args, out):
 def cmd_report(args, out):
     f = _family(args)
     g1 = make_testfn(args.testfn)
-    rep = density_mod.d1_empirical(f, args.N, g1, p_min=args.p_min)
+    g2 = make_testfn(args.testfn2) if args.testfn2 else None
+    sieve, rep, rep2 = density_mod.densities(f, args.N, g1, g2,
+                                             p_min=args.p_min)
     best = min(rep.residuals, key=lambda k: (rep.residuals[k], k))
     obj = {
         "config": {
@@ -201,8 +198,7 @@ def cmd_report(args, out):
             "p_min": args.p_min,
         },
         "sieve": {"good_count": rep.n_curves,
-                  "c_F_estimate": cardinality_constant(
-                      f, default_d_max(args.N))},
+                  "c_F_estimate": sieve.c_F_estimate},
         "density": _report_dict(rep),
         "closest_group": best,
         "conditionality": {
@@ -210,9 +206,7 @@ def cmd_report(args, out):
             "abc_flag": f.abc_flag,
         },
     }
-    if args.testfn2:
-        g2 = make_testfn(args.testfn2)
-        rep2 = density_mod.d2_empirical(f, args.N, g1, g2, p_min=args.p_min)
+    if rep2:
         obj["density2"] = _report_dict(rep2)
     _emit_json(out, obj)
     return 0

@@ -11,12 +11,13 @@ Averaging over the sieve's good set gives the empirical density; the
 2-level estimator combines the per-curve product with the 1-level run
 on the pointwise product test function and the odd-sign fraction.
 
-Both estimators share one setup (sieve, log C(t), normalization) and one
-prime-major walk: each prime's a_t(p) row, looked up from one table per
-residue class mod p, serves every t and every test function of the run
-(g, or g1, g2 and g1*g2) at once.  The per-curve sums accumulate in
-prime order and the averages over the good set are correctly rounded
-(math.fsum), so reports are bit-identical across thread counts.
+Both levels come from one run, `densities`: one sieve, one log C(t) pass
+and one prime-major walk.  Each prime's a_t(p) row, looked up from one
+table per residue class mod p, serves every t and every test function
+of the run (g1, or g1, g2 and g1*g2) at once.  The per-curve sums
+accumulate in prime order and the averages over the good set are
+correctly rounded (math.fsum), so reports are bit-identical across
+thread counts.
 """
 
 from __future__ import annotations
@@ -154,64 +155,68 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC, p_min=5):
     return sums
 
 
-def _prep(f, N, mode):
-    """(good t in [N, 2N], normalized log C(t), incomplete conductors)."""
+def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
+              mode: str = "PerCurve", p_min: int = 5):
+    """One density run: (sieve report, g1's 1-level report, 2-level report).
+
+    One sieve of [N, 2N], one log C(t) pass and one prime walk over g1,
+    or over g1, g2 and g1*g2; without g2 the 2-level report is None.  The
+    2-level estimator is
+
+      avg_t prod_i [ghat_i(0)+g_i(0)+S_{i,1}+S_{i,2}]
+        - 2 * D1(g1*g2) + g1(0)g2(0) * N(F,-1).
+
+    An unknown mode or an inadmissible pair (sigma1 + sigma2 >= 1)
+    raises before any work.
+    """
     if mode not in ("PerCurve", "AverageLogConductor"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    ts = enumerate_good(f, N).good_t
+    if g2 is not None and g1.sigma + g2.sigma >= 1.0:
+        raise ValueError("2-level density needs sigma1 + sigma2 < 1, got "
+                         f"{g1.sigma} + {g2.sigma}")
+    sieve = enumerate_good(f, N)
+    ts = sieve.good_t
     if ts.size == 0:
         raise ValueError("empty good-t set")
     logC, incomplete = log_conductors(f, ts)
     if mode == "AverageLogConductor":
         logC = np.full_like(logC, _mean(logC))
-    return ts, logC, incomplete
+    gs = (g1,) if g2 is None else (g1, g2, product_fn(g1, g2))
+    sums = _s_sum_arrays(f, ts, gs, logC, p_min=p_min)
+    S11, S12 = sums[0]
+    s1, s2 = _mean(S11), _mean(S12)
+    D1 = g1.fhat0 + g1.f0 + s1 + s2
+    shared = dict(family=f.label, N=N, normalization=mode, p_min=p_min,
+                  n_curves=int(ts.size), D1_emp=D1, S1_avg=s1, S2_avg=s2,
+                  abc_flag=f.abc_flag, incomplete_conductors=incomplete)
+    preds = {grp: predict_d1(grp, g1, f.rank) for grp in GROUPS}
+    rep1 = DensityReport(
+        testfns=((g1.kind, g1.sigma),), predictions=preds,
+        residuals={grp: abs(D1 - v) for grp, v in preds.items()}, **shared)
+    if g2 is None:
+        return sieve, rep1, None
+    (S21, S22), (P1, P2) = sums[1:]
+    prod = ((g1.fhat0 + g1.f0 + S11 + S12)
+            * (g2.fhat0 + g2.f0 + S21 + S22))
+    avg_prod = _mean(prod)
+    d1_prod = gs[2].fhat0 + gs[2].f0 + _mean(P1) + _mean(P2)
+    n_minus_value = float(family_n_minus(f, [int(t) for t in ts[:200]]))
+    D2 = avg_prod - 2.0 * d1_prod + g1.f0 * g2.f0 * n_minus_value
+    preds = {grp: predict_d2(grp, g1, g2, f.rank) for grp in GROUPS}
+    rep2 = DensityReport(
+        testfns=((g1.kind, g1.sigma), (g2.kind, g2.sigma)),
+        D2_emp=D2, n_minus_used=n_minus_value, predictions=preds,
+        residuals={grp: abs(D2 - v) for grp, v in preds.items()}, **shared)
+    return sieve, rep1, rep2
 
 
 def d1_empirical(f: FamilyDef, N: int, g: TestFn, mode: str = "PerCurve",
                  p_min: int = 5) -> DensityReport:
-    """Average of [ghat(0) + g(0) + S1 + S2] over the good set in [N, 2N]."""
-    ts, logC, incomplete = _prep(f, N, mode)
-    [(S1, S2)] = _s_sum_arrays(f, ts, (g,), logC, p_min=p_min)
-    s1, s2 = _mean(S1), _mean(S2)
-    D1 = g.fhat0 + g.f0 + s1 + s2
-    preds = {grp: predict_d1(grp, g, f.rank) for grp in GROUPS}
-    resid = {grp: abs(D1 - v) for grp, v in preds.items()}
-    return DensityReport(
-        family=f.label, N=N, testfns=((g.kind, g.sigma),), normalization=mode,
-        p_min=p_min, n_curves=int(ts.size), D1_emp=D1, S1_avg=s1, S2_avg=s2,
-        predictions=preds, residuals=resid, abc_flag=f.abc_flag,
-        incomplete_conductors=incomplete)
+    """The 1-level report of `densities` for g."""
+    return densities(f, N, g, mode=mode, p_min=p_min)[1]
 
 
 def d2_empirical(f: FamilyDef, N: int, g1: TestFn, g2: TestFn,
                  mode: str = "PerCurve", p_min: int = 5) -> DensityReport:
-    """Two-level estimator.
-
-    avg_t prod_i [ghat_i(0)+g_i(0)+S_{i,1}+S_{i,2}]
-      - 2 * D1(g1*g2) + g1(0)g2(0) * N(F,-1).
-    An inadmissible pair (sigma1 + sigma2 >= 1) raises before any work.
-    """
-    if g1.sigma + g2.sigma >= 1.0:
-        raise ValueError("2-level density needs sigma1 + sigma2 < 1, got "
-                         f"{g1.sigma} + {g2.sigma}")
-    ts, logC, incomplete = _prep(f, N, mode)
-    gp = product_fn(g1, g2)
-    (S11, S12), (S21, S22), (P1, P2) = _s_sum_arrays(
-        f, ts, (g1, g2, gp), logC, p_min=p_min)
-    prod = ((g1.fhat0 + g1.f0 + S11 + S12)
-            * (g2.fhat0 + g2.f0 + S21 + S22))
-    avg_prod = _mean(prod)
-    d1_prod = gp.fhat0 + gp.f0 + _mean(P1) + _mean(P2)
-    n_minus_value = float(family_n_minus(f, [int(t) for t in ts[:200]]))
-    D2 = avg_prod - 2.0 * d1_prod + g1.f0 * g2.f0 * n_minus_value
-    preds = {grp: predict_d2(grp, g1, g2, f.rank) for grp in GROUPS}
-    resid = {grp: abs(D2 - v) for grp, v in preds.items()}
-    s1, s2 = _mean(S11), _mean(S12)
-    return DensityReport(
-        family=f.label, N=N,
-        testfns=((g1.kind, g1.sigma), (g2.kind, g2.sigma)),
-        normalization=mode, p_min=p_min, n_curves=int(ts.size),
-        D1_emp=g1.fhat0 + g1.f0 + s1 + s2, S1_avg=s1, S2_avg=s2,
-        D2_emp=D2, n_minus_used=n_minus_value, predictions=preds,
-        residuals=resid, abc_flag=f.abc_flag,
-        incomplete_conductors=incomplete)
+    """The 2-level report of `densities` for the pair (g1, g2)."""
+    return densities(f, N, g1, g2, mode=mode, p_min=p_min)[2]

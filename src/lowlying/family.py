@@ -132,32 +132,6 @@ def invariants(f: FamilyDef) -> dict:
             "delta": delta, "D": D, "D1": D1, "D2": D2}
 
 
-def is_rational_surface(f: FamilyDef):
-    """Classify the family as a rational elliptic surface.
-
-    After reduction to y^2 = x^3 + A(t)x + B(t) (constant rescaling of
-    c4, c6), the family is rational when 0 < max(3 deg A, 2 deg B) < 12
-    (case 1), or when that maximum is 12 and the short-form discriminant
-    has degree exactly 12 (case 2).
-    """
-    inv = f.inv
-    degA = max(inv["c4"].degree, 0)
-    degB = max(inv["c6"].degree, 0)
-    if inv["c4"].is_zero():
-        degA = 0
-    if inv["c6"].is_zero():
-        degB = 0
-    m = max(3 * degA, 2 * degB)
-    if 0 < m < 12:
-        return True, 1
-    if m == 12:
-        # case 2: t^12 * Delta(1/t) is nonzero at t=0, i.e. the
-        # discriminant has degree exactly 12
-        if inv["delta"].degree == 12:
-            return True, 2
-    return False, 0
-
-
 def sign(f: FamilyDef, t: int):
     """Sign of the functional equation of the fiber at t, or None.
 

@@ -176,7 +176,7 @@ def _hat_breaks(f1, f2):
 
 
 def functionals(f1: TestFn, f2: TestFn) -> dict:
-    """All scalar functionals used by the density formulas.
+    """The pair functionals I_abs and P0 of the 2-level formulas.
 
     Closed forms for Fejer pairs; Gauss-Legendre with kink splitting
     otherwise (the integrands are piecewise polynomial, so panel
@@ -194,11 +194,8 @@ def functionals(f1: TestFn, f2: TestFn) -> dict:
         I_abs = quad_panels(lambda u: np.abs(u) * f1.fhat(u) * f2.fhat(u), bp)
         P0 = quad_panels(lambda u: f1.fhat(u) * f2.fhat(u), bp)
     return {
-        "f1_0": f1.f0, "f2_0": f2.f0,
-        "fhat1_0": f1.fhat0, "fhat2_0": f2.fhat0,
         "I_abs": I_abs,      # int |u| fhat1 fhat2 du
         "P0": P0,            # int f1 f2 dx = int fhat1 fhat2 du
-        "I_box1": f1.int_box1,
     }
 
 

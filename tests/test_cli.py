@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lowlying import cli, density
+from lowlying import density
 from lowlying.cli import main
 from lowlying.family import get_family
 
@@ -114,26 +114,48 @@ def test_density_prime_cutoff_beyond_bound_fails(capsys):
     assert "error:" in captured.err and "sigma" in captured.err
 
 
-@pytest.mark.parametrize("extra,sieves", [((), 1),
-                                          (("--testfn2", "fejer:0.15"), 2)])
-def test_report_sieves_once_per_density(capsys, monkeypatch, extra, sieves):
-    calls = []
-    real = cli.enumerate_good
+@pytest.mark.parametrize("extra", [(), ("--testfn2", "fejer:0.15")])
+def test_report_sieves_once(capsys, monkeypatch, extra):
+    # one density run serves both levels: one sieve, one log C pass and
+    # one a_t(p) table per prime, with or without a 2-level pair
+    calls = {"sieve": 0, "logC": 0}
+    primes = []
+    real_sieve, real_logc = density.enumerate_good, density.log_conductors
+    real_ap = density.ap_table
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def sieve(*args, **kwargs):
+        calls["sieve"] += 1
+        return real_sieve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "enumerate_good", counting)
-    monkeypatch.setattr(density, "enumerate_good", counting)
+    def logc(*args, **kwargs):
+        calls["logC"] += 1
+        return real_logc(*args, **kwargs)
+
+    def ap_table(f, p):
+        primes.append(p)
+        return real_ap(f, p)
+
+    monkeypatch.setattr(density, "enumerate_good", sieve)
+    monkeypatch.setattr(density, "log_conductors", logc)
+    monkeypatch.setattr(density, "ap_table", ap_table)
     status, out = run(capsys, "report", "--family", "F1", "--N", "200",
                       "--testfn", "fejer:0.2", *extra)
     assert status == 0
     obj = json.loads(strip_stamp(out))
-    assert len(calls) == sieves
-    sieve = real(get_family("F1"), 200)
-    assert obj["sieve"] == {"good_count": int(sieve.good_t.size),
-                            "c_F_estimate": sieve.c_F_estimate}
+    assert calls == {"sieve": 1, "logC": 1}
+    assert primes and len(primes) == len(set(primes))
+    rep = real_sieve(get_family("F1"), 200)
+    assert obj["sieve"] == {"good_count": int(rep.good_t.size),
+                            "c_F_estimate": rep.c_F_estimate}
+
+
+def test_report_density_block_same_with_testfn2(capsys):
+    argv = ["report", "--family", "F1", "--N", "300", "--testfn", "fejer:0.2"]
+    _, plain = run(capsys, *argv)
+    _, both = run(capsys, *argv, "--testfn2", "fejer:0.1")
+    plain, both = json.loads(strip_stamp(plain)), json.loads(strip_stamp(both))
+    assert both["density"] == plain["density"]
+    assert both["density2"]["D1_emp"] == both["density"]["D1_emp"]
 
 
 def test_density_report(capsys):

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lowlying.family import (FamilyDef, PRESETS, SignRule, get_family,
-                             invariants, is_rational_surface, load_family,
-                             n_minus, sign)
+                             invariants, load_family, n_minus, sign)
 from lowlying.family import SingularFiberError
 from lowlying.polyint import IntPoly, gcd, poly
 
@@ -49,13 +48,6 @@ def test_singular_fiber():
                     a4=poly(), a6=poly(0, 1))  # delta(0) = 0
     with pytest.raises(SingularFiberError):
         fam.specialize(0)
-
-
-def test_rational_surface():
-    ok, case = is_rational_surface(get_family("F1"))
-    assert ok
-    ok, _ = is_rational_surface(get_family("washington"))
-    assert ok
 
 
 def test_sign_rules():

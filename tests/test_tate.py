@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,6 +146,30 @@ def test_factorize_complete_moderate():
     fac = factorize(q * q * r)
     assert fac.cofactor == 1 and fac.prime_powers == {q: 2, r: 1}
     assert factorize(q * q * r, budget=0).cofactor == q * q * r
+
+
+def test_factorize_hard_semiprime_stays_whole():
+    # two 30-digit primes: rho's capped steps cannot split them, so the
+    # product comes back promptly as the cofactor instead of hanging
+    from sympy import nextprime
+
+    n = nextprime(10 ** 29 + 7) * nextprime(3 * 10 ** 29 + 11)
+    start = time.perf_counter()
+    fac = factorize(n)
+    assert time.perf_counter() - start < 10.0
+    assert fac.cofactor == n and fac.prime_powers == {}
+
+
+def test_conductor_incomplete_with_default_budget():
+    # 9t + 1 = q1 q2 with 20-digit primes q1, q2 = 1 mod 9: the default
+    # budget gives up on them and conductor reports incomplete data
+    q1, q2 = (next(q for q in range(start, start + 10 ** 4, 18) if is_prime(q))
+              for start in (10 ** 19 + 9, 3 * 10 ** 19 + 7))
+    assert q1 % 9 == q2 % 9 == 1
+    f1 = get_family("F1")
+    t = (q1 * q2 - 1) // 9
+    C, complete = conductor(f1, t)
+    assert not complete and C % (q1 * q2) == 0
 
 
 @given(st.integers(1, 10 ** 120), st.integers(2, 19))
