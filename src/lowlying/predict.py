@@ -126,7 +126,8 @@ def kernel_crosscheck(g: TestFn, g2: TestFn | None = None) -> dict:
                 "U": g.fhat0}
         return {grp: abs(side[grp] - predict_d1(grp, g, 0))
                 for grp in GROUPS}
-    q1, q2 = _int_f_K2(g), _int_f_K2(g2)
+    q1 = _int_f_K2(g)
+    q2 = q1 if g2 is g else _int_f_K2(g2)
     mm, mp, pp = _cross2d(g, g2)
     even = (g.fhat0 + q1) * (g2.fhat0 + q2) - (mm + 2.0 * mp + pp)
     sp = (g.fhat0 - q1) * (g2.fhat0 - q2) - (mm - 2.0 * mp + pp)
@@ -143,20 +144,37 @@ def _cross2d(g1, g2, T=40.0, panel=0.5, order=10):
     mm, mp, pp = int int f1(x) f2(y) times K(x-y)^2, K(x-y)K(x+y) and
     K(x+y)^2.  The integrands decay like |x|^-2 |y|^-2 off the diagonals
     and the diagonal strips decay like T^-3, so a truncated square
-    suffices for 1e-4 accuracy.  The node grid is symmetric bit for bit,
-    so x_i + x_j = x_i - x_(n-1-j) exactly: K(x+y) is the column-reversed
-    K(x-y) matrix, and K is evaluated once.
+    suffices for 1e-4 accuracy.
+
+    The node x_(k,a) of panel k is its centre plus the Gauss offset o_a,
+    and the centres are spaced by exactly `panel`, so K(x-y) is block
+    Toeplitz: K(x_(k,a) - x_(l,b)) = K(panel*(k-l) + (o_a - o_b)).  K is
+    evaluated once on these (2P-1)*order^2 arguments of the P panels,
+    and row block k of K(x-y) is a contiguous window of that table read
+    backwards in k-l.  The offsets are antisymmetric bit for bit, so the
+    grid is too, x_j = -x_(n-1-j), and the same block of K(x+y) is the
+    K(x-y) block with its columns reversed.  No n^2 array is built.
     """
     x, w = panel_grid(np.arange(-T, T + panel / 2, panel), order)
-    assert np.array_equal(x, -x[::-1])
+    P = x.size // order
+    o = panel_grid([-0.5 * panel, 0.5 * panel], order)[0]  # Gauss offsets
+    assert np.array_equal(o, -o[::-1])
     f1x = g1.f(x) * w
     f2y = g2.f(x) * w
-    Km = _K(x[:, None] - x[None, :])
-    Kp = Km[:, ::-1]
+    # tab[a, (j, b)] = K(panel*(P-1-j) + (o_a - o_b)), j = 0 .. 2P-2
+    d = panel * np.arange(P - 1, -P, -1.0)
+    tab = _K(d[None, :, None] + (o[:, None, None] - o[None, None, :]))
+    tab = tab.reshape(order, -1)
     # rows by a fixed-order numpy reduction (no BLAS), then one correctly
     # rounded sum, so the results do not depend on the thread count
-    return tuple(math.fsum(f1x * np.add.reduce(S * f2y[None, :], axis=1))
-                 for S in (Km ** 2, Km * Kp, Kp ** 2))
+    rows = np.empty((3, x.size))
+    for k in range(P):
+        Km = tab[:, (P - 1 - k) * order:(2 * P - 1 - k) * order]
+        Kp = Km[:, ::-1]
+        for r, S in zip(rows, (Km ** 2, Km * Kp, Kp ** 2)):
+            r[k * order:(k + 1) * order] = np.add.reduce(S * f2y[None, :],
+                                                         axis=1)
+    return tuple(math.fsum(f1x * r) for r in rows)
 
 
 # -- prime-sum lemma check -------------------------------------------------

@@ -181,6 +181,20 @@ def test_report_determinism_across_threads():
     assert outs[0] == outs[1]
 
 
+def test_verify_kernels_determinism_across_threads():
+    """Same verify-kernels bytes with thread pools at 1 and at every CPU."""
+    outs = []
+    for n in (1, os.cpu_count() or 8):
+        env = dict(_src_env(), OMP_NUM_THREADS=str(n),
+                   OPENBLAS_NUM_THREADS=str(n))
+        p = subprocess.run(
+            [sys.executable, "-m", "lowlying.cli", "verify-kernels",
+             "--testfn", "fejer:0.9", "--testfn2", "fejer:0.45"],
+            capture_output=True, text=True, env=env, check=True)
+        outs.append(strip_stamp(p.stdout))
+    assert outs[0] == outs[1]
+
+
 def test_verify_kernels_small(capsys):
     status, out = run(capsys, "verify-kernels", "--testfn", "fejer:0.9",
                       "--testfn2", "fejer:0.45")

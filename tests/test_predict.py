@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,8 +98,9 @@ def test_kernel_crosscheck_2level(monkeypatch):
                    (make_fejer(0.3), make_fejer(0.2))):
         calls.update({"_cross2d": 0, "_int_f_K2": 0})
         res = kernel_crosscheck(g1, g2)
-        # one 2-D grid pass and one K(2x) quadrature per test function
-        assert calls == {"_cross2d": 1, "_int_f_K2": 2}
+        # one 2-D grid pass and one K(2x) quadrature per distinct test
+        # function
+        assert calls == {"_cross2d": 1, "_int_f_K2": 1 if g2 is g1 else 2}
         assert tuple(res) == GROUPS
         for grp in GROUPS:
             assert res[grp] <= 1e-4, (grp, g1.kind, g1.sigma, g2.sigma)
@@ -106,15 +108,38 @@ def test_kernel_crosscheck_2level(monkeypatch):
 
 def test_cross2d_reversed_kernel_matches_direct():
     g1, g2 = make_fejer(0.45), make_smooth_bump(0.3)
-    T, panel, order = 10.0, 0.5, 10
-    got = _cross2d(g1, g2, T=T, panel=panel, order=order)
-    x, w = panel_grid(np.arange(-T, T + panel / 2, panel), order)
-    Km = _K(x[:, None] - x[None, :])
-    Kp = _K(x[:, None] + x[None, :])  # K(x+y) evaluated directly
-    weights = np.outer(g1.f(x) * w, g2.f(x) * w)
-    for val, S in zip(got, (Km ** 2, Km * Kp, Kp ** 2)):
-        want = math.fsum((weights * S).ravel())
-        assert abs(val - want) <= 1e-13 * abs(want)
+    panel, order = 0.5, 10
+    for T in (10.0, 40.0):  # 40 is _cross2d's default grid
+        got = _cross2d(g1, g2, T=T, panel=panel, order=order)
+        x, w = panel_grid(np.arange(-T, T + panel / 2, panel), order)
+        Km = _K(x[:, None] - x[None, :])
+        Kp = _K(x[:, None] + x[None, :])  # K(x+y) evaluated directly
+        weights = np.outer(g1.f(x) * w, g2.f(x) * w)
+        for val, S in zip(got, (Km ** 2, Km * Kp, Kp ** 2)):
+            want = math.fsum((weights * S).ravel())
+            assert abs(val - want) <= 1e-13 * abs(want), T
+
+
+def test_cross2d_small_footprint(monkeypatch):
+    # K only on the (2P-1)*order^2 distinct differences of the default
+    # grid (P = 160 panels, order 10), and no n x n array: the dense
+    # route peaks near 100 MB
+    sizes = []
+    real_K = predict._K
+
+    def counting(y):
+        sizes.append(np.size(y))
+        return real_K(y)
+    monkeypatch.setattr(predict, "_K", counting)
+    g = make_fejer(0.45)
+    tracemalloc.start()
+    try:
+        _cross2d(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) <= (2 * 160 - 1) * 10 ** 2
+    assert peak < 8e6, peak
 
 
 def test_primesum_targets():
