@@ -7,8 +7,7 @@ weighted prime sums approach their limits.
 
 import math
 
-from lowlying.predict import (GROUPS, kernel_crosscheck, primesum_check,
-                              w1_ac)
+from lowlying.predict import kernel_crosscheck, primesum_check, w1_ac
 from lowlying.testfn import make_fejer, make_smooth_bump
 
 print("== 1-level crosscheck: closed form vs kernel quadrature ==")
@@ -24,8 +23,8 @@ for grp, r in kernel_crosscheck(g, g).items():
 # The 1-level density w1 of each group: delta spikes aside, the AC parts
 # differ only through sin(2 pi x)/(2 pi x).
 print("\n== AC density parts at x = 0.25 ==")
-for grp in GROUPS:
-    print(f"  {grp:7s} w1_ac(0.25) = {w1_ac(grp, 0.25):+.4f}")
+for grp, w in w1_ac(0.25).items():
+    print(f"  {grp:7s} w1_ac(0.25) = {w:+.4f}")
 
 # Prime sums: sum over p of log(p)/p^a * fhat(...) converges to
 # f(0)/(2a phi(m)) with an O(1/log C) gap.

@@ -141,8 +141,7 @@ def cmd_density(args, out):
     g1 = make_testfn(args.testfn)
     g2 = make_testfn(args.testfn2) if args.testfn2 else None
     mode = {"percurve": "PerCurve", "avglog": "AverageLogConductor"}[args.mode]
-    _, rep1, rep2 = density_mod.densities(f, args.N, g1, g2, mode=mode,
-                                          p_min=args.p_min)
+    _, rep1, rep2 = density_mod.densities(f, args.N, g1, g2, mode=mode)
     _emit_json(out, _report_dict(rep2 or rep1))
     return 0
 
@@ -153,19 +152,17 @@ def cmd_predict(args, out):
     if args.testfn2:
         g2 = make_testfn(args.testfn2)
         obj["testfn2"] = [g2.kind, g2.sigma]
-        obj["d2"] = {grp: predict_mod.predict_d2(grp, g1, g2, args.rank)
-                     for grp in predict_mod.GROUPS}
+        obj["d2"] = predict_mod.predict_d2(g1, g2, args.rank)
     else:
-        obj["d1"] = {grp: predict_mod.predict_d1(grp, g1, args.rank)
-                     for grp in predict_mod.GROUPS}
+        obj["d1"] = predict_mod.predict_d1(g1, args.rank)
     _emit_json(out, obj)
     if args.plot_csv:
         import numpy as np
 
         with open(args.plot_csv, "w", encoding="utf-8", newline="") as fh:
             xs = np.linspace(-5.0, 5.0, 501)
-            rows = [[x] + [float(predict_mod.w1_ac(grp, x))
-                           for grp in predict_mod.GROUPS] for x in xs]
+            rows = [[x] + [float(w) for w in predict_mod.w1_ac(x).values()]
+                    for x in xs]
             _emit_csv(fh, ["x"] + [f"W1_{g}" for g in predict_mod.GROUPS],
                       rows)
     return 0
@@ -189,13 +186,12 @@ def cmd_report(args, out):
     f = _family(args)
     g1 = make_testfn(args.testfn)
     g2 = make_testfn(args.testfn2) if args.testfn2 else None
-    sieve, rep, rep2 = density_mod.densities(f, args.N, g1, g2,
-                                             p_min=args.p_min)
+    sieve, rep, rep2 = density_mod.densities(f, args.N, g1, g2)
     best = min(rep.residuals, key=lambda k: (rep.residuals[k], k))
     obj = {
         "config": {
             "family": args.family, "N": args.N, "testfn": args.testfn,
-            "p_min": args.p_min,
+            "p_min": density_mod.P_MIN,
         },
         "sieve": {"good_count": rep.n_curves,
                   "c_F_estimate": sieve.c_F_estimate},
@@ -258,7 +254,6 @@ def build_parser():
     sp.add_argument("--testfn2", default=None)
     sp.add_argument("--mode", choices=["percurve", "avglog"],
                     default="percurve")
-    sp.add_argument("--p-min", dest="p_min", type=int, default=5)
     sp.set_defaults(fn=cmd_density)
 
     sp = sub.add_parser("predict")
@@ -278,7 +273,6 @@ def build_parser():
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--testfn", default="fejer:0.3")
     sp.add_argument("--testfn2", default=None)
-    sp.add_argument("--p-min", dest="p_min", type=int, default=5)
     sp.set_defaults(fn=cmd_report)
     return p
 

@@ -6,7 +6,8 @@ For each good t the explicit formula contributes
   S1(t) = -2 sum_p (log p / log C(t)) p^-1   ghat(log p/log C(t))  a_t(p)
   S2(t) = -2 sum_p (log p / log C(t)) p^-2   ghat(2 log p/log C(t)) a_t(p)^2
 
-with the prime cutoffs enforced exactly by the compact support of ghat.
+over primes p > P_MIN = 5, with the prime cutoffs enforced exactly by
+the compact support of ghat.
 Averaging over the sieve's good set gives the empirical density; the
 2-level estimator combines the per-curve product with the 1-level run
 on the pointwise product test function and the odd-sign fraction.
@@ -28,11 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .family import FamilyDef, n_minus as family_n_minus
-from .modarith import a_p, ap_table, primes_upto
-from .predict import GROUPS, predict_d1, predict_d2
+from .modarith import PRIME_LIMIT, a_p, ap_table, primes_upto
+from .predict import predict_d1, predict_d2
 from .sqsieve import enumerate_good
 from .tate import conductor
 from .testfn import TestFn, product_fn
+
+P_MIN = 5  # the prime sums run over p > P_MIN
 
 
 @dataclass
@@ -89,18 +92,18 @@ def log_conductors(f: FamilyDef, ts):
 
 def _prime_cutoff(log_cmax: float, sigma: float) -> int:
     """Sieve limit int(C_max^sigma) + 1 of a test function of support
-    sigma.  Refused above 10^9, where the sieve alone would outgrow
-    memory; compared in log space, so a huge sigma raises here instead of
-    overflowing exp."""
-    if log_cmax * sigma > math.log(1e9):
+    sigma.  Refused above PRIME_LIMIT, where the sieve alone would
+    outgrow memory; compared in log space, so a huge sigma raises here
+    instead of overflowing exp."""
+    if log_cmax * sigma > math.log(PRIME_LIMIT):
         raise ValueError(
             f"prime cutoff C_max^sigma exceeds 10^9: sigma = {sigma}, "
             f"C_max = 10^{log_cmax / math.log(10):.2f}")
     return int(math.exp(log_cmax * sigma)) + 1
 
 
-def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
-           p_min: int = 5) -> tuple:
+def s_sums(f: FamilyDef, t: int, g: TestFn,
+           log_C: float | None = None) -> tuple:
     """Direct per-curve prime sums (S1, S2); the simple reference route.
 
     Each a_t(p) is the per-t character sum `a_p`, independent of the
@@ -112,7 +115,7 @@ def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
     pmax = _prime_cutoff(log_C, g.sigma)
     S1 = S2 = 0.0
     for p in primes_upto(pmax):
-        if p <= p_min:
+        if p <= P_MIN:
             continue
         x = math.log(p) / log_C
         w1 = float(g.fhat(x))
@@ -125,7 +128,7 @@ def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float | None = None,
     return S1, S2
 
 
-def _s_sum_arrays(f: FamilyDef, ts, gs, logC, p_min=5):
+def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
     """Vectorized [(S1(t), S2(t)) for g in gs] over all good t.
 
     One prime-major walk fetches each prime's a_t(p) row at most once.
@@ -137,7 +140,7 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC, p_min=5):
     pmaxs = [_prime_cutoff(log_cmax, g.sigma) for g in gs]
     sums = [(np.zeros(ts.size), np.zeros(ts.size)) for _ in gs]
     for p in primes_upto(max(pmaxs)):
-        if p <= p_min:
+        if p <= P_MIN:
             continue
         x = math.log(p) / logC
         ap = None
@@ -156,7 +159,7 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC, p_min=5):
 
 
 def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
-              mode: str = "PerCurve", p_min: int = 5):
+              mode: str = "PerCurve"):
     """One density run: (sieve report, g1's 1-level report, 2-level report).
 
     One sieve of [N, 2N], one log C(t) pass and one prime walk over g1,
@@ -182,14 +185,14 @@ def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
     if mode == "AverageLogConductor":
         logC = np.full_like(logC, _mean(logC))
     gs = (g1,) if g2 is None else (g1, g2, product_fn(g1, g2))
-    sums = _s_sum_arrays(f, ts, gs, logC, p_min=p_min)
+    sums = _s_sum_arrays(f, ts, gs, logC)
     S11, S12 = sums[0]
     s1, s2 = _mean(S11), _mean(S12)
     D1 = g1.fhat0 + g1.f0 + s1 + s2
-    shared = dict(family=f.label, N=N, normalization=mode, p_min=p_min,
+    shared = dict(family=f.label, N=N, normalization=mode, p_min=P_MIN,
                   n_curves=int(ts.size), D1_emp=D1, S1_avg=s1, S2_avg=s2,
                   abc_flag=f.abc_flag, incomplete_conductors=incomplete)
-    preds = {grp: predict_d1(grp, g1, f.rank) for grp in GROUPS}
+    preds = predict_d1(g1, f.rank)
     rep1 = DensityReport(
         testfns=((g1.kind, g1.sigma),), predictions=preds,
         residuals={grp: abs(D1 - v) for grp, v in preds.items()}, **shared)
@@ -202,7 +205,7 @@ def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
     d1_prod = gs[2].fhat0 + gs[2].f0 + _mean(P1) + _mean(P2)
     n_minus_value = float(family_n_minus(f, [int(t) for t in ts[:200]]))
     D2 = avg_prod - 2.0 * d1_prod + g1.f0 * g2.f0 * n_minus_value
-    preds = {grp: predict_d2(grp, g1, g2, f.rank) for grp in GROUPS}
+    preds = predict_d2(g1, g2, f.rank)
     rep2 = DensityReport(
         testfns=((g1.kind, g1.sigma), (g2.kind, g2.sigma)),
         D2_emp=D2, n_minus_used=n_minus_value, predictions=preds,
@@ -210,13 +213,13 @@ def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
     return sieve, rep1, rep2
 
 
-def d1_empirical(f: FamilyDef, N: int, g: TestFn, mode: str = "PerCurve",
-                 p_min: int = 5) -> DensityReport:
+def d1_empirical(f: FamilyDef, N: int, g: TestFn,
+                 mode: str = "PerCurve") -> DensityReport:
     """The 1-level report of `densities` for g."""
-    return densities(f, N, g, mode=mode, p_min=p_min)[1]
+    return densities(f, N, g, mode=mode)[1]
 
 
 def d2_empirical(f: FamilyDef, N: int, g1: TestFn, g2: TestFn,
-                 mode: str = "PerCurve", p_min: int = 5) -> DensityReport:
+                 mode: str = "PerCurve") -> DensityReport:
     """The 2-level report of `densities` for the pair (g1, g2)."""
-    return densities(f, N, g1, g2, mode=mode, p_min=p_min)[2]
+    return densities(f, N, g1, g2, mode=mode)[2]

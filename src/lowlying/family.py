@@ -1,8 +1,9 @@
 """One-parameter families of elliptic curves over Q(t).
 
 A family is given by Weierstrass coefficient polynomials a1..a6 in Z[t],
-an optional affine reparametrization t -> c*t + t0 (applied once, up
-front), a sign rule for the functional equation, and a claimed rank.
+a sign rule for the functional equation, and a claimed rank.  A preset
+or config may reparametrize t -> c*t + t0; the reader composes it into
+the coefficients, so a FamilyDef holds them already reparametrized.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class FamilyDef:
     a3: IntPoly
     a4: IntPoly
     a6: IntPoly
-    reparam: tuple = (1, 0)
     B: int = 1
     sign_rule: SignRule = field(default_factory=lambda: SignRule("Equidistributed"))
     rank: int = 0
@@ -60,13 +60,6 @@ class FamilyDef:
     assert_factor_degrees_le3: bool = False
 
     def __post_init__(self):
-        c, t0 = self.reparam
-        if c <= 0:
-            raise ValueError("reparametrization scale must be positive")
-        if c != 1 or t0 != 0:
-            for name in ("a1", "a2", "a3", "a4", "a6"):
-                object.__setattr__(self, name,
-                                   getattr(self, name).compose_affine(c, t0))
         inv = invariants(self)
         object.__setattr__(self, "_inv", inv)
 
@@ -181,13 +174,8 @@ def n_minus(f: FamilyDef, good_t) -> Fraction:
     The Equidistributed rule returns 1/2 exactly; fibers whose sign the
     rule cannot decide are counted at 1/2 as well.
     """
-    rule = f.sign_rule
-    if rule.kind == "Equidistributed":
+    if f.sign_rule.kind == "Equidistributed":
         return Fraction(1, 2)
-    if rule.kind == "AllEven":
-        return Fraction(0)
-    if rule.kind == "AllOdd":
-        return Fraction(1)
     good_t = list(good_t)
     if not good_t:
         return Fraction(0)
@@ -202,6 +190,13 @@ def n_minus(f: FamilyDef, good_t) -> Fraction:
 
 
 # -- built-in presets ------------------------------------------------------
+
+def _reparametrize(a, c, t0):
+    """The coefficient polynomials a at t -> c*t + t0, for c > 0."""
+    if c <= 0:
+        raise ValueError("reparametrization scale must be positive")
+    return [q.compose_affine(c, t0) for q in a]
+
 
 def _presets():
     z = poly()
@@ -233,10 +228,8 @@ def _presets():
         assert_factor_degrees_le3=True,
     )
     washington = FamilyDef(
-        label="washington",
-        a1=z, a2=poly(0, 1), a3=z,
-        a4=poly(-3, -1), a6=poly(1),
-        reparam=(12, 1),
+        "washington",
+        *_reparametrize([z, poly(0, 1), z, poly(-3, -1), poly(1)], 12, 1),
         sign_rule=SignRule("AllOdd"),
         rank=1,
         # The density normalization the washington targets use, not the
@@ -248,10 +241,7 @@ def _presets():
         assert_factor_degrees_le3=True,
     )
     rank1 = FamilyDef(
-        label="rank1",
-        a1=z, a2=poly(0, 1), a3=z,
-        a4=z, a6=poly(1),
-        reparam=(6, 1),
+        "rank1", *_reparametrize([z, poly(0, 1), z, z, poly(1)], 6, 1),
         sign_rule=SignRule("Equidistributed"),
         rank=1,
         # t' = 6t + 1 is odd, so 2 has type III reduction (b8 = 4t' after
@@ -309,15 +299,15 @@ def load_family(path) -> FamilyDef:
     if len(a) != 5:
         raise ValueError("config 'a' must list coefficient arrays for "
                          "a1, a2, a3, a4, a6")
+    c, t0 = cfg.get("reparam", (1, 0))
+    a = _reparametrize(a, c, t0)
     sr = cfg.get("sign_rule", {"kind": "Equidistributed"})
     if isinstance(sr, str):
         sr = {"kind": sr}
     rule = SignRule(sr["kind"], IntPoly(sr["D"]) if sr.get("D") else None)
     ec = cfg.get("expected_conductor")
     return FamilyDef(
-        label=cfg["label"],
-        a1=a[0], a2=a[1], a3=a[2], a4=a[3], a6=a[4],
-        reparam=tuple(cfg.get("reparam", (1, 0))),
+        cfg["label"], *a,
         B=int(cfg.get("B", 1)),
         sign_rule=rule,
         rank=int(cfg.get("rank", 0)),

@@ -1,14 +1,15 @@
 """Prime generation, residue symbols, point-count coefficients a_t(p),
 and exact batched moment sums A_{r}(p) = sum over t mod p of a_t(p)^r.
 
-A whole table t -> a_t(p) (`ap_table`) is computed in O(p log p): for
-p > 3 each fiber's short model y^2 = x^3 + A x + B falls in one of three
-twist classes (A = 0, B = 0, AB != 0), and each class is one cyclic
+A whole table t -> a_t(p) (`ap_table`) is computed in O(p log p): each
+fiber's short model y^2 = x^3 + A x + B falls in one of three twist
+classes (A = 0, B = 0, AB != 0), and each class is one cyclic
 correlation of a fixed histogram with the Legendre character, done by
 real FFT.  The correlations are integers, and their rounding error is
 asserted below 0.25 before rounding.  `a_p` computes one t directly as
 a character sum and `a_p_enumerate` counts points; both stay as
-independent references.
+independent references.  `ap_table`, `a_p` and the moment sums need a
+prime p > 3, where the short model exists.
 
 A_1 needs no table when g(x, t) = 4x^3 + b2 x^2 + 2 b4 x + b6 has
 t-degree <= 2: swapping the sums over x and t leaves a closed form plus
@@ -29,9 +30,14 @@ from .polyint import IntPoly, radical
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# largest n primes_upto sieves to; its sieve takes n + 1 bytes
+PRIME_LIMIT = 10 ** 9
+
 
 def primes_upto(n: int):
-    """All primes <= n, ascending (Eratosthenes)."""
+    """All primes <= n, ascending (Eratosthenes); n at most PRIME_LIMIT."""
+    if n > PRIME_LIMIT:
+        raise ValueError(f"prime sieve up to {n} exceeds the limit 10^9")
     if n < 2:
         return []
     sieve = np.ones(n + 1, dtype=bool)
@@ -128,15 +134,13 @@ def a_p_enumerate(ai, p: int) -> int:
 def a_p(f: FamilyDef, t: int, p: int, chi=None) -> int:
     """Trace of Frobenius of the fiber at t.
 
-    For p > 3 this is the Legendre character sum of the short-form cubic
-    x^3 + A x + B, A = -27 c4(t), B = -54 c6(t) (defined at every t,
-    including bad fibers); p in {2, 3} fall back to affine enumeration
-    of the full Weierstrass equation.  One t at a time, in O(p): the
+    The Legendre character sum of the short-form cubic x^3 + A x + B,
+    A = -27 c4(t), B = -54 c6(t) (defined at every t, including bad
+    fibers), for a prime p > 3.  One t at a time, in O(p): the
     independent reference for `ap_table`.
     """
     if p <= 3:
-        return a_p_enumerate((f.a1.eval(t), f.a2.eval(t), f.a3.eval(t),
-                              f.a4.eval(t), f.a6.eval(t)), p)
+        raise ValueError(f"a_t(p) needs a prime p > 3, got {p}")
     if chi is None:
         chi = chi_table(p)
     A = (-27 * f.inv["c4"].eval_mod(t, p)) % p
@@ -176,10 +180,10 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
     Each correlation is a real FFT at a power-of-two length >= 2p, so a
     table costs O(p log p).  The correlations are integers; the rounding
     error is asserted below 0.25 before rounding, so the table is exact.
-    p in {2, 3} enumerate points fiber by fiber.
+    p must be a prime > 3.
     """
     if p <= 3:
-        return np.array([a_p(f, t, p) for t in range(p)], dtype=np.int64)
+        raise ValueError(f"a_t(p) needs a prime p > 3, got {p}")
     chi = chi_table(p)
     xs = np.arange(p, dtype=np.int64)
     A = (-27 * _poly_mod_vals(f.inv["c4"], p, xs)) % p
@@ -288,10 +292,12 @@ def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto",
         raise ValueError("moment sums need a prime p > 3")
     if r not in (1, 2):
         raise ValueError("r must be 1 or 2")
+    if method not in ("auto", "bruteforce"):
+        raise ValueError(f"unknown moment method {method!r}")
     if method == "bruteforce":
         chi = chi_table(p)
         return sum(a_p(f, t, p, chi=chi) ** r for t in range(p))
-    if method == "auto" and r == 1 and table is None:
+    if r == 1 and table is None:
         polys = _a1_polys(f)
         if polys is not None:
             return _a1_fast(polys, p)
@@ -310,6 +316,8 @@ def product_moment(f: FamilyDef, primes, powers, method: str = "auto") -> int:
         raise ValueError("primes must be pairwise distinct")
     if any(p <= 3 for p in primes):
         raise ValueError("primes must exceed 3")
+    if method not in ("auto", "bruteforce"):
+        raise ValueError(f"unknown moment method {method!r}")
     if method == "bruteforce":
         tables = {p: ap_table(f, p) for p in primes}
         modulus = 1

@@ -1,13 +1,15 @@
 """Random-matrix predicted densities and their quadrature cross-checks.
 
-Both levels are tables over GROUPS.  One-level densities are computed on
-the transform side: the delta mass contributes fhat(0), the group term
-is a closed form in the cached functionals, and the family's r zeros at
-the central point contribute r*f(0).  Two-level densities are closed
-forms in the same functionals; the orthogonal flavors differ only in
-the coefficient c(G) of g1(0)g2(0).  kernel_crosscheck recomputes all
-five groups of either level from the x-side sine-kernel determinants by
-quadrature, which validates the hat-side closed forms independently.
+Both levels are tables {group: value} over GROUPS.  One-level densities
+are computed on the transform side: the delta mass contributes fhat(0),
+the group term is a closed form in the cached functionals, and the
+family's r zeros at the central point contribute r*f(0).  Two-level
+densities are closed forms in the same functionals, computed once per
+table; the orthogonal flavors differ only in the coefficient c(G) of
+g1(0)g2(0).  kernel_crosscheck recomputes all five groups of either
+level from the x-side sine-kernel determinants by quadrature, which
+validates the hat-side closed forms independently; its predictions come
+first, so an inadmissible pair fails before any quadrature.
 
 Kernel: K(y) = sin(pi y)/(pi y); K_eps(x, y) = K(x-y) + eps*K(x+y).
 """
@@ -27,12 +29,10 @@ GROUPS = ("SOeven", "O", "SOodd", "Sp", "U")
 C_OF_GROUP = {"SOeven": 0.0, "O": 0.5, "SOodd": 1.0, "Sp": 0.0}
 
 
-def predict_d1(group: str, g: TestFn, r: int = 0) -> float:
-    """ghat(0) + group term + r*g(0)."""
+def predict_d1(g: TestFn, r: int = 0) -> dict:
+    """{group: ghat(0) + group term + r*g(0)} over GROUPS."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}")
     box = g.int_box1  # integral of ghat over [-1, 1]
     term = {
         "SOeven": 0.5 * box,
@@ -40,12 +40,12 @@ def predict_d1(group: str, g: TestFn, r: int = 0) -> float:
         "SOodd": -0.5 * box + g.f0,
         "Sp": -0.5 * box,
         "U": 0.0,
-    }[group]
-    return g.fhat0 + term + r * g.f0
+    }
+    return {grp: g.fhat0 + term[grp] + r * g.f0 for grp in GROUPS}
 
 
-def predict_d2(group: str, g1: TestFn, g2: TestFn, r: int = 0) -> float:
-    """Two-level density of a group in GROUPS.
+def predict_d2(g1: TestFn, g2: TestFn, r: int = 0) -> dict:
+    """{group: two-level density} over GROUPS.
 
     The orthogonal flavors are
       [ghat1(0)+g1(0)/2][ghat2(0)+g2(0)/2] + 2*int|u| ghat1 ghat2
@@ -56,23 +56,21 @@ def predict_d2(group: str, g1: TestFn, g2: TestFn, r: int = 0) -> float:
     forced central zeros, (r^2-r)g1(0)g2(0) + r ghat1(0)g2(0)
     + r g1(0)ghat2(0), as predict_d1 adds r*g(0).
     """
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}")
     if g1.sigma + g2.sigma >= 1.0:
         raise ValueError("2-level prediction needs sigma1 + sigma2 < 1")
     fun = functionals(g1, g2)
     rank = ((r * r - r) * g1.f0 * g2.f0
             + r * g1.fhat0 * g2.f0 + r * g1.f0 * g2.fhat0)
-    if group == "U":
-        return g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"] + rank
-    c = C_OF_GROUP[group]
-    base = ((g1.fhat0 + 0.5 * g1.f0) * (g2.fhat0 + 0.5 * g2.f0)
-            + 2.0 * fun["I_abs"] - 2.0 * fun["P0"] - g1.f0 * g2.f0
-            + c * g1.f0 * g2.f0)
-    val = base + rank
-    if group == "Sp":
-        val = val - g1.f0 * g2.fhat0 - g1.fhat0 * g2.f0 + 2.0 * g1.f0 * g2.f0
-    return val
+    out = {}
+    for group, c in C_OF_GROUP.items():
+        base = ((g1.fhat0 + 0.5 * g1.f0) * (g2.fhat0 + 0.5 * g2.f0)
+                + 2.0 * fun["I_abs"] - 2.0 * fun["P0"] - g1.f0 * g2.f0
+                + c * g1.f0 * g2.f0)
+        out[group] = base + rank
+    out["Sp"] = (out["Sp"] - g1.f0 * g2.fhat0 - g1.fhat0 * g2.f0
+                 + 2.0 * g1.f0 * g2.f0)
+    out["U"] = g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"] + rank
+    return out
 
 
 # -- x-side kernels and quadrature cross-checks ----------------------------
@@ -84,25 +82,19 @@ def _K(y):
         return np.where(a == 0.0, 1.0, np.sin(a) / np.where(a == 0.0, 1.0, a))
 
 
-def w1_ac(group: str, x):
-    """Absolutely continuous part of the 1-level density W_{1,G}(x)."""
+def w1_ac(x) -> dict:
+    """{group: absolutely continuous part of W_{1,G}(x)} over GROUPS."""
     x = np.asarray(x, dtype=np.float64)
-    one = np.ones_like(x)
-    if group == "U":
-        return one
-    if group in ("SOeven", "O"):
-        return one + (_K(2 * x) if group == "SOeven" else 0.0)
-    if group in ("SOodd", "Sp"):
-        return one - _K(2 * x)
-    raise ValueError(group)
+    one, k = np.ones_like(x), _K(2 * x)
+    return {"SOeven": one + k, "O": one, "SOodd": one - k, "Sp": one - k,
+            "U": one}
 
 
-def _int_f_K2(g: TestFn, T=None, order=16):
+def _int_f_K2(g: TestFn):
     """Quadrature of int f(x) K(2x) dx; integrand decays like x^-3."""
-    if T is None:
-        T = max(60.0, (1.0 / (2.0 * math.pi ** 3 * g.sigma * 1e-8)) ** 0.5)
+    T = max(60.0, (1.0 / (2.0 * math.pi ** 3 * g.sigma * 1e-8)) ** 0.5)
     bp = np.arange(0.0, T + 0.25, 0.25)
-    val = quad_panels(lambda x: g.f(x) * _K(2 * x), bp, order=order)
+    val = quad_panels(lambda x: g.f(x) * _K(2 * x), bp, order=16)
     return 2.0 * val  # even integrand
 
 
@@ -120,12 +112,13 @@ def kernel_crosscheck(g: TestFn, g2: TestFn | None = None) -> dict:
       O      = (SOeven + SOodd)/2,   U = fhat1(0)fhat2(0) - mm.
     """
     if g2 is None:
+        pred = predict_d1(g)
         q = _int_f_K2(g)
         side = {"SOeven": g.fhat0 + q, "O": g.fhat0 + 0.5 * g.f0,
                 "SOodd": g.fhat0 + g.f0 - q, "Sp": g.fhat0 - q,
                 "U": g.fhat0}
-        return {grp: abs(side[grp] - predict_d1(grp, g, 0))
-                for grp in GROUPS}
+        return {grp: abs(side[grp] - pred[grp]) for grp in GROUPS}
+    pred = predict_d2(g, g2)  # an inadmissible pair raises before quadrature
     q1 = _int_f_K2(g)
     q2 = q1 if g2 is g else _int_f_K2(g2)
     mm, mp, pp = _cross2d(g, g2)
@@ -134,8 +127,7 @@ def kernel_crosscheck(g: TestFn, g2: TestFn | None = None) -> dict:
     odd = sp + g.f0 * (g2.fhat0 - q2) + g2.f0 * (g.fhat0 - q1)
     side = {"SOeven": even, "O": 0.5 * (even + odd), "SOodd": odd,
             "Sp": sp, "U": g.fhat0 * g2.fhat0 - mm}
-    return {grp: abs(side[grp] - predict_d2(grp, g, g2, 0))
-            for grp in GROUPS}
+    return {grp: abs(side[grp] - pred[grp]) for grp in GROUPS}
 
 
 def _cross2d(g1, g2, T=40.0, panel=0.5, order=10):

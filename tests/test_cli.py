@@ -95,6 +95,23 @@ def test_rank_small_X_fails(X):
     assert "Traceback" not in p.stderr
 
 
+def test_rank_X_beyond_sieve_limit_fails(capsys, monkeypatch):
+    # refused before the 2 GB sieve: the spy fails the test rather than
+    # allocate it
+    import numpy as np
+    real_ones = np.ones
+
+    def guarded(shape, *args, **kwargs):
+        assert np.prod(shape) < 10 ** 8, shape
+        return real_ones(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ones", guarded)
+    status = main(["rank", "--family", "washington", "--X", "2000000000"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "error:" in captured.err and "10^9" in captured.err
+
+
 def test_density_inadmissible_pair_fails_fast():
     # sigma1 + sigma2 = 1: rejected before the sieve and the prime walk
     p = subprocess.run(

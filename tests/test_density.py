@@ -84,8 +84,7 @@ def test_normalization_modes():
 
 def test_d2_sign_term():
     f1 = get_family("F1")
-    even, odd = (dataclasses.replace(f1, sign_rule=SignRule(kind),
-                                     reparam=(1, 0))
+    even, odd = (dataclasses.replace(f1, sign_rule=SignRule(kind))
                  for kind in ("AllEven", "AllOdd"))
     g = make_fejer(0.15)
     base = d2_empirical(even, 300, g, g)

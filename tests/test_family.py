@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -41,6 +42,14 @@ def test_specialize():
     assert f1.specialize(1) == (0, 0, 0, 0, -432 * 100)
     w = get_family("washington")  # reparam t -> 12t + 1
     assert w.specialize(0) == (0, 1, 0, -4, 1)
+
+
+def test_replace_keeps_reparametrized_coefficients():
+    # the reparametrization is applied once, when the preset is read
+    w = get_family("washington")
+    w2 = dataclasses.replace(w, label="w2")
+    assert w2.a2 == w.a2 == poly(1, 12)
+    assert w2.specialize(3) == w.specialize(3)
 
 
 def test_singular_fiber():

@@ -25,6 +25,15 @@ def test_primes_upto():
     assert primes_upto(1) == []
 
 
+def test_primes_upto_limit_raises_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieve allocated")
+
+    monkeypatch.setattr(modarith.np, "ones", refuse)
+    with pytest.raises(ValueError, match="10\\^9"):
+        primes_upto(modarith.PRIME_LIMIT + 1)
+
+
 @given(st.integers(2, 10 ** 6))
 @settings(max_examples=200, deadline=None)
 def test_is_prime_matches_sieve_structure(n):
@@ -52,12 +61,21 @@ def test_chi_table():
 def test_ap_vs_enumeration_all_presets():
     for name in ("F1", "F2plus", "F2minus", "washington", "rank1"):
         f = get_family(name)
-        for p in (2, 3, 5, 7, 11, 13):
+        for p in (5, 7, 11, 13):
             for t in range(p):
                 if f.delta_at(t) % p == 0:
                     continue  # bad reduction: enumeration of smooth model only
                 assert a_p(f, t, p) == a_p_enumerate(f.specialize(t), p), \
                     (name, p, t)
+
+
+def test_ap_needs_p_above_3():
+    f = get_family("F1")
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="p > 3"):
+            ap_table(f, p)
+        with pytest.raises(ValueError, match="p > 3"):
+            a_p(f, 1, p)
 
 
 def test_ap_table_matches_pointwise():
@@ -93,6 +111,14 @@ def test_moment_methods_agree():
             for r in (1, 2):
                 assert moment_sum(f, p, r, method="auto") == \
                     moment_sum(f, p, r, method="bruteforce")
+
+
+def test_moment_methods_unknown_raises():
+    f = get_family("F1")
+    with pytest.raises(ValueError, match="unknown moment method"):
+        moment_sum(f, 7, 1, method="brutefroce")
+    with pytest.raises(ValueError, match="unknown moment method"):
+        product_moment(f, [5, 7], [1, 1], method="brute")
 
 
 def test_closed_form_moments_small():

@@ -12,44 +12,45 @@ from lowlying.predict import (GROUPS, _K, _cross2d, kernel_crosscheck,
 
 def test_d1_examples():
     f = make_fejer(1.0)
-    assert abs(predict_d1("O", f, 0) - 1.5) < 1e-12
-    assert abs(predict_d1("U", f, 0) - 1.0) < 1e-12
+    d1 = predict_d1(f, 0)
+    assert abs(d1["O"] - 1.5) < 1e-12
+    assert abs(d1["U"] - 1.0) < 1e-12
 
 
 def test_d1_orthogonal_indistinguishable_small_support():
     f = make_fejer(0.5)
-    vals = {g: predict_d1(g, f, 0) for g in ("SOeven", "O", "SOodd")}
+    d1 = predict_d1(f, 0)
+    vals = {g: d1[g] for g in ("SOeven", "O", "SOodd")}
     assert len({round(v, 12) for v in vals.values()}) == 1
-    big = make_fejer(1.5)
-    vals = {g: predict_d1(g, big, 0) for g in ("SOeven", "O", "SOodd")}
+    big = predict_d1(make_fejer(1.5), 0)
+    vals = {g: big[g] for g in ("SOeven", "O", "SOodd")}
     assert len({round(v, 12) for v in vals.values()}) == 3
 
 
 def test_d1_rank_term():
     f = make_fejer(0.3)
-    assert abs(predict_d1("SOodd", f, 1) - predict_d1("SOodd", f, 0)
+    assert abs(predict_d1(f, 1)["SOodd"] - predict_d1(f, 0)["SOodd"]
                - f.f0) < 1e-12
 
 
 def test_d2_frozen_value():
     f = make_fejer(0.45)
-    assert abs(predict_d2("SOeven", f, f, 0) - 0.765625) < 1e-12
+    assert abs(predict_d2(f, f, 0)["SOeven"] - 0.765625) < 1e-12
 
 
 def test_d2_group_separation():
     f = make_fejer(0.45)
-    e = predict_d2("SOeven", f, f, 0)
-    o = predict_d2("O", f, f, 0)
-    s = predict_d2("SOodd", f, f, 0)
+    d2 = predict_d2(f, f, 0)
+    e, o, s = d2["SOeven"], d2["O"], d2["SOodd"]
     assert abs(o - e - 0.5 * f.f0 * f.f0) < 1e-12
     assert abs(s - o - 0.5 * f.f0 * f.f0) < 1e-12
-    vals = [e, o, s, predict_d2("Sp", f, f, 0), predict_d2("U", f, f, 0)]
+    vals = [e, o, s, d2["Sp"], d2["U"]]
     assert len({round(v, 10) for v in vals}) == 5  # pairwise distinct
 
 
 def test_d2_rank_terms():
     f = make_fejer(0.45)
-    assert abs(predict_d2("SOeven", f, f, 1) - predict_d2("SOeven", f, f, 0)
+    assert abs(predict_d2(f, f, 1)["SOeven"] - predict_d2(f, f, 0)["SOeven"]
                - 0.9) < 1e-12
 
 
@@ -57,23 +58,52 @@ def test_d2_unitary_rank_terms():
     # the r forced central zeros add the same terms to U as to SOeven
     f, g = make_fejer(0.45), make_fejer(0.3)
     for r in (1, 2, 6):
-        u = predict_d2("U", f, g, r) - predict_d2("U", f, g, 0)
-        e = predict_d2("SOeven", f, g, r) - predict_d2("SOeven", f, g, 0)
+        d2r, d20 = predict_d2(f, g, r), predict_d2(f, g, 0)
+        u = d2r["U"] - d20["U"]
+        e = d2r["SOeven"] - d20["SOeven"]
         assert abs(u - e) < 1e-12, r
-    assert abs(predict_d2("U", f, f, 2) - predict_d2("U", f, f, 0)
+    assert abs(predict_d2(f, f, 2)["U"] - predict_d2(f, f, 0)["U"]
                - (2 * f.f0 ** 2 + 4 * f.fhat0 * f.f0)) < 1e-12
 
 
 def test_d2_sp_example():
     f = make_fejer(0.45)
-    diff = predict_d2("Sp", f, f, 0) - predict_d2("SOeven", f, f, 0)
+    d2 = predict_d2(f, f, 0)
+    diff = d2["Sp"] - d2["SOeven"]
     assert abs(diff - (-0.495)) < 1e-12
 
 
 def test_d2_support_hypothesis():
     f = make_fejer(0.6)
     with pytest.raises(ValueError):
-        predict_d2("SOeven", f, f, 0)
+        predict_d2(f, f, 0)
+
+
+def test_d2_tables_cover_groups_with_one_functionals_call(monkeypatch):
+    calls = []
+    real = predict.functionals
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(predict, "functionals", counting)
+    f, g = make_fejer(0.45), make_smooth_bump(0.3)
+    d2 = predict_d2(f, g, 1)
+    assert tuple(d2) == GROUPS and tuple(predict_d1(f)) == GROUPS
+    assert len(calls) == 1
+
+
+def test_kernel_crosscheck_inadmissible_pair_fails_before_quadrature(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("quadrature ran for an inadmissible pair")
+
+    monkeypatch.setattr(predict, "_int_f_K2", refuse)
+    monkeypatch.setattr(predict, "_cross2d", refuse)
+    g = make_fejer(0.6)
+    with pytest.raises(ValueError, match=r"sigma1 \+ sigma2 < 1"):
+        kernel_crosscheck(g, g)
 
 
 def test_kernel_crosscheck_1level():
