@@ -7,9 +7,8 @@ closed forms, and the rank statistic built from the first moments.
 
 import math
 
-from lowlying.family import PRESETS, get_family
-from lowlying.modarith import (MomentTable, closed_form_moments,
-                               nagao_estimate, primes_upto)
+from lowlying.family import get_family
+from lowlying.modarith import MomentTable, closed_form_moments, primes_upto
 
 # First moments detect rank: A1(p) = -r p + O(1) for a family of rank r.
 print("== moment tables, p <= 60 ==")
@@ -26,13 +25,23 @@ tab6 = MomentTable.build(get_family("rank6"), 400, second=False)
 vals = [-a1 / p for p, (a1, _) in tab6.entries.items() if p > 100]
 print(f"\nrank6: mean -A1(p)/p over 100 < p <= 400: {sum(vals)/len(vals):.3f}")
 
-# Nagao's estimator: -(1/X) sum_p (A1(p)/p) log p -> r * theta(X)/X.
-X = 4000
-theta = sum(math.log(p) for p in primes_upto(X))
-print(f"\n== Nagao estimates at X={X} (theta(X)/X = {theta/X:.4f}) ==")
-for label in PRESETS:
-    if label == "rank6":
-        continue  # heavier coefficients; see the moment table above instead
+# Nagao's estimator: -(1/X) sum_p (A1(p)/p) log p ~ r * theta(X)/X -> r,
+# theta(X) the sum of log p over 3 < p <= X (the primes the moments cover).
+# Both limits are slow: theta(X)/X nears 1 only as fast as the prime
+# number theorem allows, and washington's A1(p)/p is -2 or 0 by p mod 4,
+# so its estimate also waits for the primes 1 mod 4 to carry half of
+# theta(X).  One table up to 10^6 serves all three X.  (The rank-0
+# presets F1, F2plus and F2minus have A1(p) = 0.)
+XS = (10 ** 4, 10 ** 5, 10 ** 6)
+ps = [p for p in primes_upto(XS[-1]) if p > 3]
+theta = {X: math.fsum(math.log(p) for p in ps if p <= X) / X for X in XS}
+print("\n== Nagao estimates vs r * theta(X)/X ==")
+for label in ("washington", "rank1"):
     f = get_family(label)
-    est = nagao_estimate(f, X)
-    print(f"  {label:10s} rank {f.rank}: estimate {est:+.4f}")
+    tab = MomentTable.build(f, XS[-1], second=False)
+    print(f"{label} (r = {f.rank}):")
+    for X in XS:
+        est = tab.nagao_sum(X)
+        print(f"  X=10^{len(str(X)) - 1}  estimate {est:.4f}  "
+              f"r*theta(X)/X {f.rank * theta[X]:.4f}  "
+              f"gap {est - f.rank * theta[X]:+.4f}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .family import FamilyDef, n_minus as family_n_minus
-from .modarith import PRIME_LIMIT, a_p, ap_table, primes_upto
+from .modarith import a_p, ap_table, prime_cutoff, primes_upto
 from .predict import predict_d1, predict_d2
 from .sqsieve import enumerate_good
 from .tate import conductor
@@ -90,18 +90,6 @@ def log_conductors(f: FamilyDef, ts):
     return out, incomplete
 
 
-def _prime_cutoff(log_cmax: float, sigma: float) -> int:
-    """Sieve limit int(C_max^sigma) + 1 of a test function of support
-    sigma.  Refused above PRIME_LIMIT, where the sieve alone would
-    outgrow memory; compared in log space, so a huge sigma raises here
-    instead of overflowing exp."""
-    if log_cmax * sigma > math.log(PRIME_LIMIT):
-        raise ValueError(
-            f"prime cutoff C_max^sigma exceeds 10^9: sigma = {sigma}, "
-            f"C_max = 10^{log_cmax / math.log(10):.2f}")
-    return int(math.exp(log_cmax * sigma)) + 1
-
-
 def s_sums(f: FamilyDef, t: int, g: TestFn,
            log_C: float | None = None) -> tuple:
     """Direct per-curve prime sums (S1, S2); the simple reference route.
@@ -112,7 +100,7 @@ def s_sums(f: FamilyDef, t: int, g: TestFn,
     if log_C is None:
         log_C, _ = log_conductors(f, [t])
         log_C = float(log_C[0])
-    pmax = _prime_cutoff(log_C, g.sigma)
+    pmax = prime_cutoff(log_C, g.sigma)
     S1 = S2 = 0.0
     for p in primes_upto(pmax):
         if p <= P_MIN:
@@ -137,7 +125,7 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
     """
     ts = np.asarray(ts, dtype=np.int64)
     log_cmax = float(np.max(logC))
-    pmaxs = [_prime_cutoff(log_cmax, g.sigma) for g in gs]
+    pmaxs = [prime_cutoff(log_cmax, g.sigma) for g in gs]
     sums = [(np.zeros(ts.size), np.zeros(ts.size)) for _ in gs]
     for p in primes_upto(max(pmaxs)):
         if p <= P_MIN:

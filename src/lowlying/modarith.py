@@ -13,25 +13,39 @@ prime p > 3, where the short model exists.
 
 A_1 needs no table when g(x, t) = 4x^3 + b2 x^2 + 2 b4 x + b6 has
 t-degree <= 2: swapping the sums over x and t leaves a closed form plus
-a sum over the roots mod p of the x-discriminant of g, found by one
-scan of its radical (`_a1_fast`).  `moment_sum(..., method="bruteforce")`
-sums the per-t `a_p` as its oracle.
+a sum over the roots mod p of the x-discriminant of g (`_a1_fast`).
+Its rational roots a/b are found once per family and reduced mod p in
+O(1) per prime; only a cofactor with no rational root, if any, is
+scanned over x mod p.  `moment_sum(..., method="bruteforce")` sums the
+per-t `a_p` as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt, log
+from math import exp, isqrt, log
 
 import numpy as np
 
 from .family import FamilyDef
-from .polyint import IntPoly, radical
+from .polyint import IntPoly, radical, rational_roots
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # largest n primes_upto sieves to; its sieve takes n + 1 bytes
 PRIME_LIMIT = 10 ** 9
+
+
+def prime_cutoff(log_cmax: float, sigma: float) -> int:
+    """Sieve limit int(C_max^sigma) + 1 of a prime sum cut off at
+    C_max^sigma.  Refused above PRIME_LIMIT, where the sieve alone would
+    outgrow memory; compared in log space, so a huge sigma raises here
+    instead of overflowing exp."""
+    if log_cmax * sigma > log(PRIME_LIMIT):
+        raise ValueError(
+            f"prime cutoff C_max^sigma exceeds 10^9: sigma = {sigma}, "
+            f"C_max = 10^{log_cmax / log(10):.2f}")
+    return int(exp(log_cmax * sigma)) + 1
 
 
 def primes_upto(n: int):
@@ -224,8 +238,10 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
 # -- moment sums -----------------------------------------------------------
 
 def _a1_polys(f: FamilyDef):
-    """(alpha, gamma, rad Delta, content Delta) in x for `_a1_fast`, or
-    None when g(x, t) has t-degree > 2.  rad is None when Delta = 0."""
+    """(alpha, gamma, roots, G, content Delta) in x for `_a1_fast`, or
+    None when g(x, t) has t-degree > 2.  roots are the rational roots
+    (a, b) of rad Delta and G its cofactor (`rational_roots`); both are
+    unused when Delta = 0, where every residue is a root."""
     inv = f.inv
     if max(inv[n].degree for n in ("b2", "b4", "b6")) > 2:
         return None
@@ -238,8 +254,8 @@ def _a1_polys(f: FamilyDef):
 
     alpha, beta, gamma = tcoeff(2), tcoeff(1), tcoeff(0)
     disc = beta * beta - 4 * alpha * gamma
-    rad = None if disc.is_zero() else radical(disc)
-    return alpha, gamma, rad, disc.content()
+    roots, G = ([], None) if disc.is_zero() else rational_roots(radical(disc))
+    return alpha, gamma, roots, G, disc.content()
 
 
 def _a1_fast(polys, p: int) -> int:
@@ -260,11 +276,15 @@ def _a1_fast(polys, p: int) -> int:
     alpha has x-degree <= 2, so its sum takes the same closed values:
     -chi(a2), or (p-1) chi(a2) when its discriminant vanishes; 0 for a
     linear alpha; p chi(a0) for a constant.  When p does not divide
-    content(Delta), the roots of Delta mod p are those of rad Delta
-    (one scan over x mod p); otherwise every residue is a root.  Exact,
-    valid for p > 3.
+    content(Delta), the roots of Delta mod p are those of rad Delta:
+    a b^-1 for each rational root a/b with p not dividing b (when p | b,
+    b x - a = -a is a unit, as gcd(a, b) = 1), joined with the roots of
+    the cofactor G from one scan over x mod p, made only when G is not
+    constant.  Otherwise every residue is a root.  The result is an
+    integer sum over a set, so it is exact and independent of the order
+    of the roots; valid for p > 3.
     """
-    alpha, gamma, rad, content = polys
+    alpha, gamma, rat, G, content = polys
     a0, a1, a2 = (_poly_mod_coeffs(alpha, p) + [0, 0])[:3]
     if a2:
         d = (a1 * a1 - 4 * a2 * a0) % p
@@ -273,8 +293,11 @@ def _a1_fast(polys, p: int) -> int:
         total = 0 if a1 else p * _chi(a0, p)
     roots = range(p)
     if content % p:
-        xs = np.arange(p, dtype=np.int64)
-        roots = np.flatnonzero(_poly_mod_vals(rad, p, xs) == 0).tolist()
+        roots = {a * pow(b, -1, p) % p for a, b in rat if b % p}
+        if G.degree >= 1:
+            xs = np.arange(p, dtype=np.int64)
+            hits = _poly_mod_vals(G, p, xs) == 0
+            roots.update(np.flatnonzero(hits).tolist())
     for r in roots:
         total -= p * _chi(alpha.eval_mod(r, p) or gamma.eval_mod(r, p), p)
     return total

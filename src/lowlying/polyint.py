@@ -2,11 +2,14 @@
 
 Coefficients are stored ascending: coeffs[i] is the coefficient of t**i.
 All arithmetic is arbitrary precision; evaluation at any integer is exact.
+`rational_roots` uses floats only to propose roots, each checked exactly.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class IntPoly:
@@ -233,3 +236,38 @@ def radical(p: IntPoly) -> IntPoly:
         return p.primitive()
     # primitive gcd divides the primitive part exactly over Z (Gauss)
     return divexact(p.primitive(), g).primitive()
+
+
+def rational_roots(f: IntPoly):
+    """Rational roots of a primitive square-free f, and the cofactor.
+
+    Returns (roots, G): roots is a list of pairs (a, b), b > 0 and
+    gcd(a, b) = 1, one per root a/b, and G = f / prod(b x - a) exactly.
+    Candidates come from the floating-point roots rho of f: a root a/b
+    has b | lc(f), so lc(f) rho is an integer near the float.  Each is
+    accepted only if sum c_i a^i b^(d-i) = 0 in integers, so a root the
+    floats miss stays in G, and no accepted root is wrong.
+    """
+    d, lc = f.degree, f.leading()
+    if d < 1:
+        return [], f
+    try:
+        rhos = np.roots([float(c) for c in reversed(f.coeffs)])
+    except OverflowError:  # coefficients beyond float range
+        rhos = []
+    roots, lin = [], IntPoly([1])
+    for rho in set(float(r.real) for r in rhos):
+        if not math.isfinite(lc * rho):
+            continue
+        n = round(lc * rho)
+        g = math.gcd(n, lc)
+        a, b = n // g, lc // g
+        if b < 0:
+            a, b = -a, -b
+        if (a, b) in roots:
+            continue
+        if sum(c * a ** i * b ** (d - i) for i, c in enumerate(f.coeffs)):
+            continue
+        roots.append((a, b))
+        lin = lin * IntPoly([-a, b])
+    return sorted(roots), divexact(f, lin)

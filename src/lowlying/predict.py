@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .modarith import primes_upto
+from .modarith import prime_cutoff, primes_upto
 from .testfn import TestFn, functionals, panel_grid, quad_panels
 
 GROUPS = ("SOeven", "O", "SOodd", "Sp", "U")
@@ -176,12 +176,12 @@ def primesum_check(C_N: int, g: TestFn, a: int = 1, m: int = 1, b: int = 0):
 
     value = (1/log C_N) sum_{p = b mod m} (log p / p) ghat(a log p / log C_N)
     over the primes the transform support admits (p <= C_N^(sigma/a)).
-    Returns (value, target, gap).
+    Returns (value, target, gap).  A cutoff above 10^9 raises ValueError.
     """
     if C_N < 1000:
         raise ValueError("C_N must be at least 10^3")
     logC = math.log(C_N)
-    pmax = int(math.exp(logC * g.sigma / a)) + 1
+    pmax = prime_cutoff(logC, g.sigma / a)
     ps = np.asarray(primes_upto(pmax), dtype=np.int64)
     if m > 1:
         ps = ps[ps % m == b % m]

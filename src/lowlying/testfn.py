@@ -46,14 +46,26 @@ def panel_grid(breakpoints, order):
     return (mid + half * nodes).reshape(shape), (half * weights).reshape(shape)
 
 
+# nodes per fn call in quad_panels, so no full-grid temporary is built
+_QUAD_BLOCK = 4096
+
+
 def quad_panels(fn, breakpoints, order=24):
     """Composite Gauss-Legendre over the panels between the breakpoints.
 
-    One fn call on all nodes; the sum is correctly rounded (math.fsum),
-    so it does not depend on the order of the panels.
+    fn is called on the nodes of about _QUAD_BLOCK // order panels at a
+    time, and one math.fsum takes every block's terms; fsum is correctly
+    rounded, so the sum does not depend on the blocks or the panel order.
     """
-    x, w = panel_grid(breakpoints, order)
-    return math.fsum(fn(x) * w)
+    bp = np.unique(np.asarray(breakpoints, dtype=np.float64))
+    step = max(1, _QUAD_BLOCK // order)
+
+    def terms():
+        for i in range(0, bp.size - 1, step):
+            x, w = panel_grid(bp[i:i + step + 1], order)
+            yield from fn(x) * w
+
+    return math.fsum(terms())
 
 
 def pairwise_sum(a):

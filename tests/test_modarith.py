@@ -196,7 +196,7 @@ def test_a1_random_families_match_oracles():
         f = _random_linear_family(rng, (1, 5, 7)[i % 3])
         if f.inv["delta"].is_zero():
             continue
-        content = modarith._a1_polys(f)[3]
+        content = modarith._a1_polys(f)[4]
         for p in small + [101, 1009]:
             content_hits += content % p == 0
             fast = moment_sum(f, p, 1)
@@ -228,6 +228,45 @@ def test_nagao_estimate_needs_no_tables(monkeypatch):
     want = -sum(closed_form_moments("washington", p)[0] / p * math.log(p)
                 for p in primes_upto(2000) if p > 3) / 2000
     assert abs(est - want) < 1e-12
+
+
+# rad Delta = 7x - 2: its root 2/7 has no residue mod 7
+ROOT_2_7 = FamilyDef("root-2/7", IntPoly(), IntPoly(), IntPoly(),
+                     IntPoly([0, 7]), IntPoly([1, -2]))
+# rad Delta = (5x + 4)(4x^2 - x - 4), alpha = 4x + 4: a root
+# with 5 | b and a quadratic cofactor with no rational root
+MIXED = FamilyDef("mixed", IntPoly(), IntPoly([3, 2]), IntPoly(),
+                  IntPoly([-2, -1, 1]), IntPoly([-3, -2, 1]))
+
+
+@pytest.mark.parametrize("f, alpha, roots, G", [
+    (ROOT_2_7, IntPoly(), [(2, 7)], IntPoly([1])),
+    (MIXED, IntPoly([4, 4]), [(-4, 5)], IntPoly([-4, -1, 4])),
+])
+def test_a1_rational_roots_and_scanned_cofactor(f, alpha, roots, G):
+    got_alpha, _, got_roots, got_G, _ = modarith._a1_polys(f)
+    assert (got_alpha, got_roots, got_G) == (alpha, roots, G)
+    # every prime up to 40, so p | b (7 for ROOT_2_7, 5 for MIXED) and
+    # the primes where G has roots mod p are among them
+    for p in primes_upto(40):
+        if p > 3:
+            assert moment_sum(f, p, 1) == \
+                moment_sum(f, p, 1, method="bruteforce"), (f.label, p)
+
+
+def test_nagao_estimate_presets_never_scan(monkeypatch):
+    # rad Delta splits over Q for every preset on the first-moment path,
+    # so no prime scans x mod p
+    def forbidden(*args):
+        raise AssertionError("residues scanned on the first-moment path")
+
+    monkeypatch.setattr(modarith, "_poly_mod_vals", forbidden)
+    for name in ("F1", "F2plus", "F2minus", "washington", "rank1"):
+        f = get_family(name)
+        est = nagao_estimate(f, 2000)
+        want = -sum(closed_form_moments(name, p)[0] / p * math.log(p)
+                    for p in primes_upto(2000) if p > 3) / 2000
+        assert abs(est - want) < 1e-12, name
 
 
 @pytest.mark.parametrize("X", [1, 0, -7])

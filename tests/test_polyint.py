@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowlying.family import PRESETS
-from lowlying.polyint import IntPoly, divexact, gcd, poly, radical
+from lowlying.polyint import (IntPoly, divexact, gcd, poly, radical,
+                              rational_roots)
 
 small_polys = st.lists(st.integers(-50, 50), min_size=0, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
@@ -127,6 +129,73 @@ def test_gcd_divexact_radical_match_sympy(common, a, b):
     assert divexact(pa, g) * g == pa
     if not pa.is_constant():
         assert radical(pa) == _sympy_radical(pa)
+
+
+def _sympy_rational_roots(f):
+    """(a, b) pairs of the linear factors b x - a of f over Z."""
+    out = []
+    for fac, _ in sympy.factor_list(_to_sympy(f))[1]:
+        if fac.degree() == 1:
+            b, a = fac.all_coeffs()
+            b, a = int(b), -int(a)
+            out.append((a, b) if b > 0 else (-a, -b))
+    return sorted(out)
+
+
+def test_rational_roots_match_sympy():
+    # random products of distinct linear factors b x - a and irreducible
+    # factors of degree 2 to 4; the product is primitive and square-free
+    rng = random.Random(2003)
+    checked = 0
+    for _ in range(60):
+        n_lin, n_irr = rng.randint(0, 4), rng.randint(0, 2)
+        lin = set()
+        while len(lin) < n_lin:
+            b = rng.randint(1, 60)
+            a = rng.randint(-200, 200)
+            lin.add((a // math.gcd(a, b), b // math.gcd(a, b)))
+        irr = set()
+        while len(irr) < n_irr:
+            q = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(2, 4))]
+                        + [rng.randint(1, 9)]).primitive()
+            if not q.is_constant() and _to_sympy(q).is_irreducible:
+                irr.add(q)
+        f = IntPoly([1])
+        for a, b in lin:
+            f = f * IntPoly([-a, b])
+        for q in irr:
+            f = f * q
+        if len(_sympy_rational_roots(f)) != len(lin) or f.is_constant():
+            continue  # an irreducible factor was linear
+        roots, G = rational_roots(f)
+        assert roots == sorted(lin) == _sympy_rational_roots(f)
+        assert _sympy_rational_roots(G) == []
+        prod = IntPoly([1])
+        for a, b in roots:
+            prod = prod * IntPoly([-a, b])
+        assert prod * G == f
+        checked += bool(roots) and not G.is_constant()
+    assert checked >= 20
+
+
+def test_rational_roots_floats_only_propose():
+    # Wilkinson's product (x - 1)...(x - 25): the float roots of the
+    # larger factors are too far off to round to them, so those roots
+    # stay in G; every root returned is exact
+    w = IntPoly([1])
+    for k in range(1, 26):
+        w = w * IntPoly([-k, 1])
+    roots, G = rational_roots(w)
+    assert all(b == 1 and 1 <= a <= 25 for a, b in roots)
+    assert len(roots) + G.degree == 25
+    prod = IntPoly([1])
+    for a, b in roots:
+        prod = prod * IntPoly([-a, b])
+    assert prod * G == w
+    # a coefficient past float range gives no candidates at all
+    big = IntPoly([-10 ** 400, 1])
+    assert rational_roots(big) == ([], big)
+    assert rational_roots(IntPoly([5])) == ([], IntPoly([5]))
 
 
 def test_preset_invariants_match_sympy():

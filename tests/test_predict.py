@@ -185,3 +185,23 @@ def test_primesum_targets():
 def test_primesum_rejects_small_cn():
     with pytest.raises(ValueError):
         primesum_check(100, make_fejer(1.0))
+
+
+def test_primesum_cutoff_beyond_sieve_limit_raises():
+    # C_N^sigma = 10^6000 overflows a float; the bound is checked in log space
+    with pytest.raises(ValueError, match=r"10\^9"):
+        primesum_check(10 ** 6, make_fejer(1000))
+
+
+def test_int_f_K2_small_footprint():
+    # 121k quadrature nodes, evaluated a block at a time; the whole grid
+    # at once peaks near 9 MB
+    g = make_fejer(0.45)
+    panel_grid([0.0, 1.0], 16)  # imports numpy.polynomial outside the trace
+    tracemalloc.start()
+    try:
+        predict._int_f_K2(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak

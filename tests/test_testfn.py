@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lowlying.testfn import (functionals, make_fejer, make_smooth_bump,
-                             make_testfn, pairwise_sum, product_fn,
-                             quad_panels)
+                             make_testfn, pairwise_sum, panel_grid,
+                             product_fn, quad_panels)
 
 
 def test_fejer_basics():
@@ -68,10 +68,7 @@ def test_fourier_consistency():
         T = 2e6 if tf.kind == "fejer" else 2000.0
         step = 1.0 if tf.kind == "fejer" else 0.25
         bp = np.arange(0.0, T + step, step)
-        # blocks of 10^5 panels sharing their end breakpoints keep the
-        # node arrays small; the block values are summed correctly rounded
-        blocks = [bp[i:i + 100001] for i in range(0, bp.size - 1, 100000)]
-        val = 2.0 * math.fsum(quad_panels(tf.f, b, order=8) for b in blocks)
+        val = 2.0 * quad_panels(tf.f, bp, order=8)
         assert abs(tf.fhat0 - val) <= 1e-6, tf.kind
 
 
@@ -81,6 +78,22 @@ def test_quad_panels_unsorted_repeated_breakpoints():
     messy = quad_panels(tf.fhat, [0.45, 0.0, -0.45, 0.2, 0.0, 0.45, -0.0])
     assert messy == clean
     assert abs(clean - tf.f0) < 1e-14
+
+
+def test_quad_panels_blocks_match_whole_grid():
+    # 2000 panels of 16 nodes: fn sees blocks of at most 4096 nodes, and
+    # the correctly rounded sum equals the one over the whole grid
+    tf = make_fejer(0.45)
+    bp = np.arange(0.0, 500.25, 0.25)
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.size)
+        return tf.f(x)
+
+    x, w = panel_grid(bp, 16)
+    assert quad_panels(fn, bp, order=16) == math.fsum(tf.f(x) * w)
+    assert sum(sizes) == x.size and max(sizes) <= 4096 < x.size
 
 
 def test_fejer_nonnegative():
