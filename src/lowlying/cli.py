@@ -25,7 +25,7 @@ from .family import get_family, load_family
 from .modarith import (MomentTable, closed_form_moments, nagao_estimate,
                        primes_upto)
 from .sqsieve import enumerate_good
-from .tate import conductor
+from .tate import conductors
 from .testfn import make_testfn
 
 
@@ -107,11 +107,9 @@ def cmd_rank(args, out):
 def cmd_conductor(args, out):
     f = _family(args)
     lo, hi = args.t_range
+    ts = [t for t in range(lo, hi + 1) if f.delta_at(t) != 0]
     rows = []
-    for t in range(lo, hi + 1):
-        if f.delta_at(t) == 0:
-            continue
-        C, complete = conductor(f, t)
+    for t, (C, complete) in zip(ts, conductors(f, ts)):
         exp = (f.expected_conductor.eval(t)
                if f.expected_conductor is not None else "")
         rows.append([t, C, exp, exp != "" and C == exp, complete])
@@ -212,7 +210,15 @@ def cmd_report(args, out):
 
 def _t_range(s):
     lo, _, hi = s.partition(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected LO:HI with integers LO <= HI, got {s!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            f"empty range {s!r}: LO = {lo} is greater than HI = {hi}")
+    return lo, hi
 
 
 def build_parser():
@@ -237,7 +243,9 @@ def build_parser():
     sp = sub.add_parser("conductor")
     fam(sp)
     sp.add_argument("--t-range", type=_t_range, required=True,
-                    metavar="LO:HI")
+                    metavar="LO:HI",
+                    help="inclusive range of t, LO <= HI; write "
+                         "--t-range=-2:2 when LO is negative")
     sp.set_defaults(fn=cmd_conductor)
 
     sp = sub.add_parser("sieve")

@@ -32,7 +32,7 @@ from .family import FamilyDef, n_minus as family_n_minus
 from .modarith import a_p, ap_table, prime_cutoff, primes_upto
 from .predict import predict_d1, predict_d2
 from .sqsieve import enumerate_good
-from .tate import conductor
+from .tate import conductors
 from .testfn import TestFn, product_fn
 
 P_MIN = 5  # the prime sums run over p > P_MIN
@@ -69,11 +69,17 @@ def log_conductors(f: FamilyDef, ts):
     """log C(t) for each t; (values, incomplete_count).
 
     Uses the family's conductor polynomial when one is configured (the
-    normalization the closed-form density targets are stated for) and
-    falls back to the Tate/factorization route otherwise.  The polynomial
-    is taken as given: the washington preset's 8(144t^2 + 60t + 13) is a
-    density normalization, not the fiber conductor 8(144t^2 + 60t + 13)^2,
-    and it also sets the prime cutoff C^sigma of every washington run.
+    normalization the closed-form density targets are stated for).  The
+    polynomial is taken as given: the washington preset's
+    8(144t^2 + 60t + 13) is a density normalization, not the fiber
+    conductor 8(144t^2 + 60t + 13)^2, and it also sets the prime cutoff
+    C^sigma of every washington run.
+
+    Otherwise the one route is `tate.conductors` over the whole set: one
+    sieve of content(delta) D(t), and a bad prime p takes f_p = 2 (p |
+    D1(t), or c4 = 0) or 1 from the family's reduction when p does not
+    divide 6 content(delta) disc(D) Res(D2, c4), v_p(D(t)) = 1 and the
+    primitive delta divides D^11; Tate's algorithm gives every other f_p.
     """
     ts = np.asarray(ts, dtype=np.int64)
     if f.expected_conductor is not None:
@@ -82,8 +88,7 @@ def log_conductors(f: FamilyDef, ts):
         return vals, 0
     out = np.empty(ts.size)
     incomplete = 0
-    for i, t in enumerate(ts):
-        C, complete = conductor(f, int(t))
+    for i, (C, complete) in enumerate(conductors(f, ts)):
         if not complete:
             incomplete += 1
         out[i] = math.log(C)

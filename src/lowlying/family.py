@@ -129,7 +129,9 @@ def sign(f: FamilyDef, t: int):
     """Sign of the functional equation of the fiber at t, or None.
 
     Returns +1, -1, or None ("unknown") when the rule's factorization
-    backend cannot complete or the rule's precondition fails at t.
+    backend cannot complete or the rule's precondition fails at t.  The
+    per-fiber route: `n_minus` takes the factorizations of a whole set
+    from one sieve.
     """
     rule = f.sign_rule
     if rule.kind == "AllEven":
@@ -141,12 +143,17 @@ def sign(f: FamilyDef, t: int):
     from .tate import factorize
 
     Dval = rule.D.eval(t)
-    if Dval == 0:
+    return _birch_stephens(rule.kind, Dval,
+                           factorize(abs(Dval)) if Dval else None)
+
+
+def _birch_stephens(kind, Dval, fac):
+    """Birch-Stephens sign from D(t) and its factorization, or None when
+    D(t) = 0, the factorization is incomplete or D(t) has a power the
+    rule excludes."""
+    if fac is None or fac.cofactor != 1:
         return None
-    fac = factorize(abs(Dval))
-    if fac.cofactor != 1:
-        return None
-    if rule.kind == "BirchStephensCubic":
+    if kind == "BirchStephensCubic":
         # curve y^2 = x^3 + D^2-flavored cubic twist; D must be cube-free
         if any(e >= 3 for e in fac.prime_powers.values()):
             return None
@@ -172,16 +179,24 @@ def n_minus(f: FamilyDef, good_t) -> Fraction:
     """Exact fraction of odd-sign fibers among the given good t values.
 
     The Equidistributed rule returns 1/2 exactly; fibers whose sign the
-    rule cannot decide are counted at 1/2 as well.
+    rule cannot decide are counted at 1/2 as well.  A Birch-Stephens
+    rule's D(t) values are factorized by one sieve over the whole set.
     """
-    if f.sign_rule.kind == "Equidistributed":
+    rule = f.sign_rule
+    if rule.kind == "Equidistributed":
         return Fraction(1, 2)
-    good_t = list(good_t)
+    good_t = [int(t) for t in good_t]
     if not good_t:
         return Fraction(0)
+    if rule.kind in ("AllEven", "AllOdd"):
+        signs = [sign(f, t) for t in good_t]
+    else:
+        from .tate import _factor_values
+
+        signs = (_birch_stephens(rule.kind, rule.D.eval(t), fac) for t, fac
+                 in zip(good_t, _factor_values(rule.D, good_t)))
     acc = Fraction(0)
-    for t in good_t:
-        s = sign(f, t)
+    for s in signs:
         if s is None:
             acc += Fraction(1, 2)
         elif s == -1:

@@ -18,7 +18,7 @@ import numpy as np
 from .family import FamilyDef
 from .modarith import primes_upto
 from .polyint import IntPoly
-from .tate import factorize
+from .tate import _factor_values, factorize
 
 
 class ZeroDensityError(ValueError):
@@ -117,8 +117,9 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
     Marking by primes gives the same good set as marking every
     square-free d (a composite d^2 divides D(t) only if each of its
     prime squares does).  With exact=True the survivors' D(t) values are
-    factorized and those with a square factor beyond d_max are removed;
-    their count is reported as t_set_excess.
+    factorized, by one sieve over all of them, and those with a square
+    factor beyond d_max are removed; their count is reported as
+    t_set_excess.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -147,15 +148,13 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
     excess = 0
     if exact:
         keep = []
-        for t in ts:
-            val = abs(D.eval(int(t)))
-            fac = factorize(val)
+        for t, fac in zip(ts.tolist(), _factor_values(D, ts)):
             sq = any(e >= 2 for p, e in fac.prime_powers.items() if B % p != 0)
             cof = fac.cofactor
             if sq or cof != 1 and math.isqrt(cof) ** 2 == cof:
                 excess += 1
             else:
-                keep.append(int(t))
+                keep.append(t)
         ts = np.array(keep, dtype=np.int64)
     return SieveReport(N=N, d_max=d_max, good_t=ts, nu_table=nu_table,
                        c_F_estimate=c, t_set_excess=excess)

@@ -2,8 +2,18 @@
 
 One routine, `tate_local`, runs Tate's algorithm at every prime, 2 and 3
 included, with each coordinate change in closed form and a restart on
-non-minimal models.  `conductor` multiplies its exponents over the bad
-primes that `factorize` finds.
+non-minimal models.
+
+`conductors(f, ts)` is the one route for a set of fibers.  It factors
+content(delta) D(t) for every t by one sieve over the small primes,
+with the same prime powers and cofactor as `factorize`.  A bad prime p
+takes its exponent from the family's own reduction when three
+conditions hold: p does not divide M = 6 content(delta) disc(D)
+Res(D2, c4) (no Res factor when c4 = 0), v_p(D(t)) = 1, and the
+primitive delta divides D^11.  Then f_p = 2 if c4 = 0 or p | D1(t), and
+f_p = 1 otherwise.  Every other bad prime goes to `tate_local`.
+`conductor(f, t)` runs `tate_local` at every bad prime of one fiber
+that `factorize` finds; it is the oracle of `conductors` in the tests.
 """
 
 from __future__ import annotations
@@ -12,8 +22,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .family import FamilyDef, SingularFiberError, _bc_invariants
 from .modarith import is_prime, primes_upto
+from .polyint import IntPoly, discriminant, divexact, resultant
 
 
 @dataclass
@@ -182,9 +195,12 @@ def tate_local(ai, p: int) -> LocalData:
         ai = _transform(ai, 0, 0, 0, u=p)
 
 
+_TRIAL = 10 ** 4
+
+
 @functools.cache
 def _trial_primes():
-    return primes_upto(10 ** 4)
+    return primes_upto(_TRIAL)
 
 
 # cap on Brent's doubling cycle length: at most ~2^14 steps per seed
@@ -242,21 +258,30 @@ def factorize(n: int, budget: int = 64) -> Factorization:
         raise ValueError("factorize needs a positive integer")
     orig = n
     powers = {}
-
-    def record(p, e=1):
-        powers[p] = powers.get(p, 0) + e
-
     for p in _trial_primes():
         if p * p > n:
             break
         while n % p == 0:
-            record(p)
+            powers[p] = powers.get(p, 0) + 1
             n //= p
+    return Factorization(orig, powers, _split_remainder(n, powers, budget))
+
+
+def _split_remainder(n: int, powers: dict, budget: int) -> int:
+    """factorize's stage after trial division; returns the cofactor.
+
+    n is 1, a prime, or has no prime factor below 10^4.  Its prime
+    factors are added to powers; a composite that rho cannot split
+    within budget seeds multiplies into the returned cofactor.
+    """
+    def record(p, e=1):
+        powers[p] = powers.get(p, 0) + e
+
     if n == 1:
-        return Factorization(orig, powers, 1)
+        return 1
     if n < 10 ** 8 or is_prime(n):  # below trial-bound squared: prime
         record(n)
-        return Factorization(orig, powers, 1)
+        return 1
 
     stack, cofactor = [n], 1
     while stack:
@@ -279,7 +304,79 @@ def factorize(n: int, budget: int = 64) -> Factorization:
                     break
             else:
                 cofactor *= m
-    return Factorization(orig, powers, cofactor)
+    return cofactor
+
+
+# fibers sieved at a time: bounds the factorizations held at once
+_CHUNK = 1024
+
+
+def _factor_values(P: IntPoly, ts, content: int = 1, budget: int = 64):
+    """Yield factorize(|content * P(t)|) for each t of the sequence ts in
+    order, or None where P(t) = 0, from one sieve instead of a trial loop
+    per t.
+
+    The trial primes are those up to min(10^4, isqrt(max |P(t)|)) over a
+    chunk of _CHUNK values of t; the t whose P(t) a prime p divides are
+    read off P(t mod p) mod p with numpy.  What is left of P(t) is then
+    1, a prime, or free of primes below 10^4, as after factorize's trial
+    loop.  content is factorized once; its part above 10^4 joins each
+    remainder, and the product goes through factorize's later stage.
+    So prime powers, cofactor and completeness equal factorize's.
+    """
+    cfac = factorize(content) if content != 1 else Factorization(1)
+    c_small = {p: e for p, e in cfac.prime_powers.items() if p < _TRIAL}
+    c_rest = content // math.prod(p ** e for p, e in c_small.items())
+    roots = {}  # p -> the residues t mod p with P(t) = 0 mod p
+
+    def roots_mod(p):
+        if p not in roots:
+            x = np.arange(p, dtype=np.int64)
+            acc = np.zeros(p, dtype=np.int64)
+            for c in reversed(P.coeffs):
+                acc = (acc * x + c % p) % p
+            roots[p] = np.flatnonzero(acc == 0).tolist()
+        return roots[p]
+
+    for lo in range(0, len(ts), _CHUNK):
+        chunk = [int(t) for t in ts[lo:lo + _CHUNK]]
+        vals = [P.eval(t) for t in chunk]
+        rest = [abs(v) for v in vals]
+        powers = [dict(c_small) for _ in chunk]
+        try:
+            arr = np.array(chunk, dtype=np.int64)
+        except OverflowError:  # t beyond int64: reduce Python ints
+            arr = np.array(chunk, dtype=object)
+        bound = min(_TRIAL, math.isqrt(max(rest)))
+        for p in _trial_primes():
+            if p > bound:
+                break
+            r = roots_mod(p)
+            if not r:
+                continue
+            res = arr % p
+            hit = res == r[0]
+            for x in r[1:]:
+                hit |= res == x
+            for i in np.flatnonzero(hit).tolist():
+                v = rest[i]
+                if v:  # P(t) = 0 is divisible by every p
+                    e = 0
+                    while v % p == 0:
+                        v //= p
+                        e += 1
+                    pw = powers[i]
+                    pw[p] = pw.get(p, 0) + e
+                    rest[i] = v
+        for val, v, pw in zip(vals, rest, powers):
+            if val == 0:
+                yield None
+                continue
+            if 1 < v < _TRIAL:  # a prime the full trial loop would find
+                pw[v] = pw.get(v, 0) + 1
+                v = 1
+            yield Factorization(abs(content * val), pw,
+                                _split_remainder(c_rest * v, pw, budget))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -317,3 +414,61 @@ def conductor(f: FamilyDef, t: int):
     if not complete:
         C *= fac.cofactor  # assumed square-free, multiplicative reduction
     return C, complete
+
+
+def _rule_modulus(f: FamilyDef) -> int:
+    """M = 6 content(delta) disc(D) Res(D2, c4) of `conductors`' exponent
+    rule (no Res factor when c4 = 0), or 0, which sends every bad prime
+    to tate_local, when the primitive delta does not divide D^11."""
+    inv = f.inv
+    D, delta, c4 = inv["D"], inv["delta"], inv["c4"]
+    try:
+        divexact(D ** 11, delta.primitive())
+    except ValueError:
+        return 0
+    M = 6 * delta.content() * discriminant(D)
+    if not c4.is_zero():
+        M *= resultant(inv["D2"], c4)
+    return M
+
+
+def conductors(f: FamilyDef, ts):
+    """Yield conductor(f, t) for each t of the sequence ts, from one sieve
+    of content(delta) D(t); only a chunk of factorizations is held.
+
+    The factorizations come from `_factor_values` and equal factorize's.
+    A bad prime p of the fiber takes its exponent from the family's own
+    reduction when three conditions hold: p does not divide
+    M = 6 content(delta) disc(D) Res(D2, c4) (no Res factor when c4 = 0),
+    v_p(D(t)) = 1, and the primitive delta divides D^11.  Then p divides
+    exactly one factor R of D(t), once, and v_p(delta(t)) is R's
+    multiplicity in delta, at most 11, so the model is minimal at p > 3.
+    If R divides c4 (p | D1(t), or c4 = 0) the reduction is additive and
+    tame, f_p = 2; otherwise p does not divide Res(D2, c4), so it does
+    not divide c4(t) and the reduction is multiplicative, f_p = 1
+    (Silverman, Advanced Topics, IV.9).  disc(D) is a margin the argument
+    does not use: it keeps at Tate the primes where two factors of D meet
+    mod p.  Every other bad prime goes to tate_local on the fiber's
+    model.  A singular fiber raises
+    SingularFiberError, and a cofactor is handled as in `conductor`.
+    """
+    inv = f.inv
+    M = _rule_modulus(f)
+    D1, additive = inv["D1"], inv["c4"].is_zero()
+    for t, fac in zip(ts, _factor_values(inv["D"], ts,
+                                         inv["delta"].content())):
+        t = int(t)
+        if fac is None:
+            f.specialize(t)  # raises SingularFiberError
+        ai = None
+        C = 1
+        for p, e in fac.prime_powers.items():
+            if e == 1 and M % p:
+                C *= p * p if additive or D1.eval(t) % p == 0 else p
+            else:
+                ai = ai or f.specialize(t)
+                C *= p ** tate_local(ai, p).f_p
+        complete = fac.cofactor == 1
+        if not complete:
+            C *= fac.cofactor  # assumed square-free, multiplicative reduction
+        yield C, complete

@@ -41,6 +41,30 @@ def test_conductor_csv(capsys):
     assert by_t["1"][1] == "2700" and by_t["1"][3] == "true"
 
 
+def test_conductor_range_rows_and_errors(capsys):
+    from lowlying.tate import conductor
+
+    status, out = run(capsys, "conductor", "--family", "washington",
+                      "--t-range=-3:4")
+    assert status == 0
+    f = get_family("washington")
+    rows = [r.split(",") for r in strip_stamp(out).splitlines()[1:]]
+    assert [r[0] for r in rows] == [str(t) for t in range(-3, 5)]
+    for r in rows:
+        C, complete = conductor(f, int(r[0]))
+        assert r[1] == str(C) and r[4] == str(complete).lower()
+    for bad, why in (("5:1", "LO = 5 is greater than HI = 1"),
+                     ("5", "expected LO:HI"), ("a:b", "expected LO:HI")):
+        with pytest.raises(SystemExit) as exc:
+            main(["conductor", "--family", "F1", "--t-range", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--t-range" in err and why in err, err
+    with pytest.raises(SystemExit):
+        main(["conductor", "--help"])
+    assert "--t-range=-2:2" in " ".join(capsys.readouterr().out.split())
+
+
 def test_sieve_json(capsys):
     status, out = run(capsys, "sieve", "--family", "F1", "--N", "100")
     assert status == 0

@@ -85,6 +85,29 @@ def test_n_minus():
     assert n_minus(get_family("rank1"), []) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("name", ["F1", "F2plus", "F2minus", "washington",
+                                  "F1-tate"])
+def test_n_minus_matches_per_fiber_signs(name):
+    from pathlib import Path
+
+    from lowlying.sqsieve import enumerate_good
+
+    if name == "F1-tate":
+        f = load_family(Path(__file__).resolve().parents[1] / "perfbench"
+                        / "F1-tate.json")
+    else:
+        f = get_family(name)
+    ts = enumerate_good(f, 10 ** 4).good_t[:200].tolist()
+    # D(t) with a cube (F1: t = 7) or a fourth power (F2: t = 40): unknown signs
+    extra = [0, 3, 7, 13, -2, 40] if name != "washington" else []
+    for good in (ts, ts + extra):
+        want = Fraction(0)
+        for t in good:
+            s = sign(f, t)
+            want += Fraction(1, 2) if s is None else int(s == -1)
+        assert n_minus(f, good) == want / len(good), name
+
+
 def test_abc_flag():
     assert not get_family("F1").abc_flag
     assert not get_family("washington").abc_flag

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowlying.family import PRESETS
-from lowlying.polyint import (IntPoly, divexact, gcd, poly, radical,
-                              rational_roots)
+from lowlying.polyint import (IntPoly, discriminant, divexact, gcd, poly,
+                              radical, rational_roots, resultant)
 
 small_polys = st.lists(st.integers(-50, 50), min_size=0, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
@@ -196,6 +196,50 @@ def test_rational_roots_floats_only_propose():
     big = IntPoly([-10 ** 400, 1])
     assert rational_roots(big) == ([], big)
     assert rational_roots(IntPoly([5])) == ([], IntPoly([5]))
+
+
+def _sympy_resultant(a, b):
+    """Res(a, b) from sympy.  The Sylvester determinant of sympy's
+    subresultants module is the oracle for degrees >= 1; sympy.resultant
+    itself is off by (-1)^(deg a deg b) when deg a < deg b (it gives -8
+    for Res(t - 2, t^3) = 8), so it is used only for deg a >= deg b."""
+    from sympy.polys.subresultants_qq_zz import res
+
+    if a.degree >= b.degree:
+        want = sympy.resultant(_to_sympy(a), _to_sympy(b))
+        if a.degree >= 1 and b.degree >= 1:
+            assert want == res(_to_sympy(a).as_expr(), _to_sympy(b).as_expr(), _T)
+        return want
+    return res(_to_sympy(a).as_expr(), _to_sympy(b).as_expr(), _T)
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=300, deadline=None)
+def test_resultant_discriminant_match_sympy(common, a, b):
+    assert resultant(a, b) == (_sympy_resultant(a, b)
+                               if not (a.is_zero() or b.is_zero()) else 0)
+    if not (common.is_constant() or a.is_zero() or b.is_zero()):
+        assert resultant(a * common, b * common) == 0  # a shared root
+    if not a.is_zero():
+        assert discriminant(a) == sympy.discriminant(_to_sympy(a))
+        assert discriminant(a * a) == 0
+
+
+def test_resultant_discriminant_small_degrees():
+    assert resultant(IntPoly([5]), IntPoly([7])) == 1
+    assert resultant(IntPoly([5]), poly(1, 0, 1)) == 25
+    assert resultant(poly(1, 0, 1), IntPoly([5])) == 25
+    assert resultant(poly(-2, 1), poly(0, 0, 0, 1)) == 8
+    assert resultant(poly(0, 0, 0, 1), poly(-2, 1)) == -8
+    assert resultant(poly(-6, 3), poly(4, -2)) == 0
+    assert resultant(IntPoly(), poly(1, 1)) == 0
+    assert discriminant(IntPoly([5])) == 0
+    assert discriminant(poly(2, 3)) == 1
+    assert discriminant(poly(1, 0, 1)) == -4
+    assert discriminant(poly(2, 0, 0, 1)) == -108
+    for name, f in PRESETS.items():
+        D = f.inv["D"]
+        assert discriminant(D) == sympy.discriminant(_to_sympy(D)), name
 
 
 def test_preset_invariants_match_sympy():

@@ -81,6 +81,35 @@ def test_exact_refinement():
     assert set(tight.good_t.tolist()) <= set(loose.good_t.tolist())
 
 
+def _exact_per_fiber(f, N):
+    """enumerate_good(exact=True)'s (good_t, t_set_excess) with one
+    factorize call per survivor."""
+    import math
+
+    from lowlying.tate import factorize
+
+    keep, excess = [], 0
+    for t in enumerate_good(f, N).good_t.tolist():
+        fac = factorize(abs(f.inv["D"].eval(t)))
+        cof = fac.cofactor
+        if (any(e >= 2 for p, e in fac.prime_powers.items() if f.B % p)
+                or cof != 1 and math.isqrt(cof) ** 2 == cof):
+            excess += 1
+        else:
+            keep.append(t)
+    return keep, excess
+
+
+@pytest.mark.parametrize("name,N", [("F1", 2000), ("F2plus", 2000),
+                                    ("F2minus", 2000), ("washington", 2000),
+                                    ("rank1", 2000), ("rank6", 20)])
+def test_exact_sieve_matches_per_fiber_factorize(name, N):
+    # rank6: D(t) has about 100 digits, so rho runs on each survivor
+    f = get_family(name)
+    rep = enumerate_good(f, N, exact=True)
+    assert (rep.good_t.tolist(), rep.t_set_excess) == _exact_per_fiber(f, N)
+
+
 def test_density_matches_euler_product():
     for name in ("F1", "washington"):
         fam = get_family(name)

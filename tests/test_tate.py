@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowlying.family import _bc_invariants, get_family, load_family, sign
+from lowlying.family import (DegenerateFamilyError, FamilyDef,
+                             SingularFiberError, _bc_invariants, get_family,
+                             load_family, sign)
 from lowlying.modarith import a_p_enumerate, chi_table, is_prime, primes_upto
+from lowlying.polyint import IntPoly, poly
 from lowlying.sqsieve import enumerate_good
 from lowlying import tate
-from lowlying.tate import (_iroot, _transform, _vp, conductor, factorize,
-                           tate_local)
+from lowlying.tate import (_iroot, _transform, _vp, conductor, conductors,
+                           factorize, tate_local)
 
 # Curves with well-known conductors, including wild 2- and 3-adic types.
 KNOWN = [
@@ -364,3 +367,161 @@ def test_functional_equation_rejects_target_polynomials(label, divisor):
         N = abs(f.expected_conductor.eval(t)) // divisor
         assert N != conductor(f, t)[0]
         assert min(_fe_defects(f, t, N).values()) > 0.05, (label, t, N)
+
+
+# -- conductors of a whole set: one sieve, the family's exponent rule -------
+
+F1_TATE = ORACLE_FAMILIES[-1]
+PRESET_NAMES = ["F1", "F2plus", "F2minus", "washington", "rank1", "rank6",
+                F1_TATE]
+
+
+def _family(name):
+    return load_family(name) if isinstance(name, Path) else get_family(name)
+
+
+def _hard_f1_fiber():
+    """t with 9t + 1 = q1 q2, 20-digit primes the default budget cannot
+    split, and t beyond int64."""
+    q1, q2 = (next(q for q in range(start, start + 10 ** 4, 18) if is_prime(q))
+              for start in (10 ** 19 + 9, 3 * 10 ** 19 + 7))
+    return (q1 * q2 - 1) // 9
+
+
+def _sieve_oracle(P, ts, content=1, budget=64):
+    return [factorize(abs(content * P.eval(t)), budget) if P.eval(t) else None
+            for t in ts]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES,
+                         ids=lambda n: getattr(n, "name", n))
+def test_factor_values_match_factorize(name):
+    f = _family(name)
+    D, content = f.inv["D"], f.inv["delta"].content()
+    if name == "rank6":  # 100-digit values: a few fibers, two incomplete
+        ts = [-4, -2, 2, 3, 0]
+    else:
+        ts = (list(range(-40, 41))
+              + enumerate_good(f, 2000).good_t[:400].tolist())
+    got = list(tate._factor_values(D, ts, content))
+    assert got == _sieve_oracle(D, ts, content)
+    for fac in got:  # prime powers, cofactor and n, not just equality
+        assert fac is None or fac.n == math.prod(
+            p ** e for p, e in fac.prime_powers.items()) * fac.cofactor
+    if name == "rank6":
+        assert sum(fac.cofactor != 1 for fac in got) == 2
+
+
+def test_factor_values_incomplete_and_large_content():
+    # the hard semiprime of test_conductor_incomplete_with_default_budget,
+    # with t beyond int64 next to small and negative t
+    f1 = get_family("F1")
+    t = _hard_f1_fiber()
+    ts = [-3, t, 1, -t, 2]
+    got = list(tate._factor_values(f1.inv["D"], ts, 2 ** 12 * 3 ** 9))
+    assert got == _sieve_oracle(f1.inv["D"], ts, 2 ** 12 * 3 ** 9)
+    assert got[1].cofactor == 9 * t + 1 and got[3].cofactor == 1
+    # content with primes above 10^4 (one a 10^8-ish composite rho splits),
+    # values below 10^4 whose sieve bound stops short of 10^4, zeros,
+    # and a polynomial with content 6 (every t hits p = 2, 3); budget=0
+    # leaves every composite remainder whole, so a prime below 10^4 must
+    # be taken out of it as factorize's trial loop does
+    q = 10007 * 10009
+    ts = list(range(-60, 200))
+    for P, content in ((poly(0, 1), q), (poly(0, 1), 10007 ** 2 * 12),
+                       (poly(5, 0, 1), q), (poly(6, 12), 1),
+                       (poly(-36, 0, 1), 5 * q)):
+        for budget in (64, 0):
+            assert list(tate._factor_values(P, ts, content, budget)) == \
+                _sieve_oracle(P, ts, content, budget), (P, content, budget)
+
+
+def _count_tate_local(monkeypatch):
+    calls = []
+    real = tate.tate_local
+
+    def spy(ai, p):
+        calls.append(p)
+        return real(ai, p)
+
+    monkeypatch.setattr(tate, "tate_local", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES,
+                         ids=lambda n: getattr(n, "name", n))
+def test_conductors_match_conductor(name, monkeypatch):
+    f = _family(name)
+    rep = enumerate_good(f, 2000)
+    # rank6: the first two fibers (one complete, one incomplete) of the set
+    ts = rep.good_t[:2].tolist() if name == "rank6" else rep.good_t.tolist()
+    want = [conductor(f, t) for t in ts]
+    calls = _count_tate_local(monkeypatch)
+    assert list(conductors(f, ts)) == want
+    if name == "rank6":
+        assert [c for _, c in want] == [True, False]
+        return
+    # the partial sieve keeps fibers with p^2 | D(t) for a p > d_max
+    D = f.inv["D"]
+    squares = [t for t in ts if any(
+        e >= 2 and p > rep.d_max
+        for p, e in factorize(abs(D.eval(t))).prime_powers.items())]
+    assert squares
+    if name == F1_TATE:
+        # Tate runs at 2 and 3 and at the squares beyond d_max only
+        assert len(calls) == 2 * len(ts) + len(squares)
+
+
+def _random_family(rng, k):
+    """A family with every a_i of t-degree <= 2 and small coefficients."""
+    while True:
+        a = [IntPoly([rng.choice((0, 0, rng.randint(-4, 4)))
+                      for _ in range(rng.randint(0, 3))])
+             for _ in range(5)]
+        a[4] = a[4] + IntPoly([0, rng.randint(1, 3)])  # a6 depends on t
+        try:
+            return FamilyDef(f"random{k}", *a)
+        except DegenerateFamilyError:
+            continue
+
+
+def test_conductors_random_families():
+    rng = random.Random(20261019)
+    fams = [_random_family(rng, k) for k in range(30)]
+    # c4 != 0 with an additive factor D1 = t and a multiplicative D2 = 4t + 27
+    fams.append(FamilyDef("d1d2", poly(), poly(), poly(), poly(0, 1),
+                          poly(0, 1)))
+    kinds = set()
+    for f in fams:
+        c4, D1, D2 = f.inv["c4"], f.inv["D1"], f.inv["D2"]
+        kinds.add((c4.is_zero(), D1.degree >= 1, D2.degree >= 1))
+        ts = [t for t in range(-25, 60) if f.delta_at(t) != 0]
+        assert list(conductors(f, ts)) == [conductor(f, t) for t in ts], f
+        assert tate._rule_modulus(f) != 0
+    assert {(False, False, True), (False, True, True)} <= kinds, kinds
+
+
+def test_conductors_nonminimal_family_falls_back_to_tate(monkeypatch):
+    # delta = -1728 (t + 1)^12: the fibers are not minimal at the primes of
+    # t + 1, where the rule's f_p = 2 would be wrong (the reduction is good)
+    f = FamilyDef("twelve", poly(), poly(), poly(), poly(),
+                  poly(1, 1) ** 6 * 2)
+    assert tate._rule_modulus(f) == 0
+    ts = [t for t in range(-30, 200) if f.delta_at(t) != 0]
+    calls = _count_tate_local(monkeypatch)
+    got = list(conductors(f, ts))
+    assert got == [conductor(f, t) for t in ts]
+    assert all(C % 5 for C, _ in got)  # t = 4, 9, ...: 5 | t + 1, good at 5
+    content = f.inv["delta"].content()
+    n_bad = sum(len(factorize(abs(content * (t + 1))).prime_powers)
+                for t in ts)
+    assert len(calls) == 2 * n_bad  # conductors and conductor alike
+
+
+def test_conductors_singular_fiber_raises():
+    f = FamilyDef("cusp", poly(), poly(), poly(), poly(), poly(0, 1))
+    with pytest.raises(SingularFiberError):
+        conductor(f, 0)
+    with pytest.raises(SingularFiberError):
+        list(conductors(f, [1, 2, 0, 3]))
+    assert list(conductors(f, [1, 2])) == [conductor(f, 1), conductor(f, 2)]
