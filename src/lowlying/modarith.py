@@ -28,7 +28,7 @@ from math import exp, isqrt, log
 import numpy as np
 
 from .family import FamilyDef
-from .polyint import IntPoly, radical, rational_roots
+from .polyint import IntPoly, radical, rational_roots, roots_mod, vals_mod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -115,21 +115,6 @@ def chi_table(p: int) -> np.ndarray:
     return chi
 
 
-def _poly_mod_coeffs(q, p):
-    return [c % p for c in q.coeffs] or [0]
-
-
-def _poly_mod_vals(q, p, xs):
-    """q(xs) mod p, vectorized Horner with pre-reduced coefficients."""
-    cs = _poly_mod_coeffs(q, p)
-    acc = np.full_like(xs, cs[-1])
-    for c in reversed(cs[:-1]):
-        acc *= xs
-        acc += c
-        acc %= p
-    return acc
-
-
 # -- a_t(p) ----------------------------------------------------------------
 
 def a_p_enumerate(ai, p: int) -> int:
@@ -157,8 +142,8 @@ def a_p(f: FamilyDef, t: int, p: int, chi=None) -> int:
         raise ValueError(f"a_t(p) needs a prime p > 3, got {p}")
     if chi is None:
         chi = chi_table(p)
-    A = (-27 * f.inv["c4"].eval_mod(t, p)) % p
-    B = (-54 * f.inv["c6"].eval_mod(t, p)) % p
+    A = -27 * f.inv["c4"].eval(t) % p
+    B = -54 * f.inv["c6"].eval(t) % p
     xs = np.arange(p, dtype=np.int64)
     g = (xs * xs % p * xs + A * xs + B) % p
     return -int(chi[g].sum(dtype=np.int64))
@@ -200,8 +185,8 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
         raise ValueError(f"a_t(p) needs a prime p > 3, got {p}")
     chi = chi_table(p)
     xs = np.arange(p, dtype=np.int64)
-    A = (-27 * _poly_mod_vals(f.inv["c4"], p, xs)) % p
-    B = (-54 * _poly_mod_vals(f.inv["c6"], p, xs)) % p
+    A = (-27 * vals_mod(f.inv["c4"], p, xs)) % p
+    B = (-54 * vals_mod(f.inv["c6"], p, xs)) % p
     n = 1 << (2 * p - 1).bit_length()
     chi_hat = np.fft.rfft(np.tile(chi.astype(np.float64), 2), n)
 
@@ -279,13 +264,13 @@ def _a1_fast(polys, p: int) -> int:
     content(Delta), the roots of Delta mod p are those of rad Delta:
     a b^-1 for each rational root a/b with p not dividing b (when p | b,
     b x - a = -a is a unit, as gcd(a, b) = 1), joined with the roots of
-    the cofactor G from one scan over x mod p, made only when G is not
-    constant.  Otherwise every residue is a root.  The result is an
-    integer sum over a set, so it is exact and independent of the order
-    of the roots; valid for p > 3.
+    the cofactor G from `roots_mod`, one scan over x mod p, made only
+    when G is not constant.  Otherwise every residue is a root.  The
+    result is an integer sum over a set, so it is exact and independent
+    of the order of the roots; valid for p > 3.
     """
     alpha, gamma, rat, G, content = polys
-    a0, a1, a2 = (_poly_mod_coeffs(alpha, p) + [0, 0])[:3]
+    a0, a1, a2 = ([c % p for c in alpha.coeffs] + [0, 0, 0])[:3]
     if a2:
         d = (a1 * a1 - 4 * a2 * a0) % p
         total = _chi(a2, p) * (p - 1 if d == 0 else -1)
@@ -295,11 +280,9 @@ def _a1_fast(polys, p: int) -> int:
     if content % p:
         roots = {a * pow(b, -1, p) % p for a, b in rat if b % p}
         if G.degree >= 1:
-            xs = np.arange(p, dtype=np.int64)
-            hits = _poly_mod_vals(G, p, xs) == 0
-            roots.update(np.flatnonzero(hits).tolist())
+            roots.update(roots_mod(G, p))
     for r in roots:
-        total -= p * _chi(alpha.eval_mod(r, p) or gamma.eval_mod(r, p), p)
+        total -= p * _chi(alpha.eval(r) % p or gamma.eval(r) % p, p)
     return total
 
 

@@ -2,6 +2,8 @@
 
 Coefficients are stored ascending: coeffs[i] is the coefficient of t**i.
 All arithmetic is arbitrary precision; evaluation at any integer is exact.
+`vals_mod` and `roots_mod` are the one route to P(x) mod m over an array
+and to the roots of P mod p^k.
 `rational_roots` uses floats only to propose roots, each checked exactly.
 `resultant` and `discriminant` are exact integer determinants (Bareiss).
 """
@@ -131,12 +133,6 @@ class IntPoly:
             acc = acc * t + c
         return acc
 
-    def eval_mod(self, t, m):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * t + c) % m
-        return acc
-
     def compose_affine(self, c, t0):
         """Return p(c*t + t0)."""
         inner = IntPoly([t0, c])
@@ -169,6 +165,44 @@ def _coerce(x):
 def poly(*coeffs_ascending):
     """Convenience constructor: poly(1, 9) is 9t+1."""
     return IntPoly(coeffs_ascending)
+
+
+def vals_mod(P: IntPoly, m: int, xs) -> np.ndarray:
+    """P(x) mod m for every x of xs, as an int64 array.
+
+    Horner on the coefficients reduced mod m, with xs reduced mod m
+    first.  1 <= m < 2^31 keeps acc * x below 2^62, so no step
+    overflows int64; any other m raises ValueError.
+    """
+    if not 1 <= m < 2 ** 31:
+        raise ValueError(f"vals_mod needs 1 <= m < 2^31, got {m}")
+    x = np.asarray(xs, dtype=np.int64) % m
+    cs = [c % m for c in P.coeffs] or [0]
+    acc = np.full_like(x, cs[-1])
+    for c in reversed(cs[:-1]):
+        acc *= x
+        acc += c
+        acc %= m
+    return acc
+
+
+def roots_mod(P: IntPoly, p: int, k: int = 1) -> list:
+    """Sorted residues r mod p^k with P(r) = 0 mod p^k, p prime, p^k < 2^31.
+
+    One scan over x mod p; each further level keeps those of the p lifts
+    r + j p^i of every root r mod p^i where P vanishes mod p^(i+1).  So
+    no derivative is needed, and a multiple root is no special case.
+    """
+    if p ** k >= 2 ** 31:
+        raise ValueError(f"roots_mod needs p^k < 2^31, got {p}^{k}")
+    xs = np.arange(p, dtype=np.int64)
+    roots = xs[vals_mod(P, p, xs) == 0]
+    q = p
+    for _ in range(k - 1):
+        lifts = (roots[:, None] + q * xs).ravel()
+        q *= p
+        roots = lifts[vals_mod(P, q, lifts) == 0]
+    return sorted(roots.tolist())
 
 
 def _divide(a: IntPoly, b: IntPoly, exact: bool):

@@ -3,9 +3,15 @@
 D(t) is the square-free part of the family discriminant.  A parameter t
 in [N, 2N] is "good" when no d^2 divides D(t) for small d coprime to the
 family's exceptional square B.  The sieve marks arithmetic progressions
-t = t_i mod d^2 for the square-free d up to a cutoff; an optional exact
-refinement factorizes the survivors' D(t) and measures how many slip
-through with a large-prime square factor.
+t = r mod p^2 for the roots r of D mod p^2 (`polyint.roots_mod`) at the
+primes p up to a cutoff; an optional exact refinement factorizes the
+survivors' D(t) and measures how many slip through with a large-prime
+square factor.
+
+A singular fiber has Delta(t) = 0, so D(t) = 0 and p^2 | D(t) at every
+sieved p: the marking removes it.  Only when every prime up to the
+cutoff divides B can one survive, and the single pass D(t) mod 2^31 - 1
+with an exact D(t) on its hits drops it.
 """
 
 from __future__ import annotations
@@ -17,39 +23,12 @@ import numpy as np
 
 from .family import FamilyDef
 from .modarith import primes_upto
-from .polyint import IntPoly
+from .polyint import IntPoly, roots_mod, vals_mod
 from .tate import _factor_values, factorize
 
 
 class ZeroDensityError(ValueError):
     pass
-
-
-def _roots_mod_psq(D: IntPoly, p: int):
-    """Residues t mod p^2 with D(t) = 0 mod p^2.
-
-    Roots mod p are found by scanning; simple roots lift uniquely
-    (Hensel), while roots where D' vanishes fall back to checking every
-    lift mod p^2.
-    """
-    Dp = D.derivative()
-    out = []
-    for r in range(p):
-        if D.eval_mod(r, p) != 0:
-            continue
-        if Dp.eval_mod(r, p) != 0:
-            # unique Hensel lift: r - D(r)/D'(r) mod p^2
-            m = p * p
-            dr = D.eval_mod(r, m)
-            inv = pow(Dp.eval_mod(r, m), -1, p)
-            k = (dr // p * inv) % p
-            t = (r - k * p) % m
-            assert D.eval_mod(t, m) == 0
-            out.append(t)
-        else:
-            m = p * p
-            out.extend(t for t in range(r, m, p) if D.eval_mod(t, m) == 0)
-    return sorted(out)
 
 
 def nu(D: IntPoly, d: int) -> int:
@@ -67,7 +46,7 @@ def nu(D: IntPoly, d: int) -> int:
         raise ValueError(f"d={d} is not square-free or not fully factored")
     out = 1
     for p in sorted(fac.prime_powers):
-        out *= len(_roots_mod_psq(D, p))
+        out *= len(roots_mod(D, p, 2))
     return out
 
 
@@ -83,7 +62,7 @@ def _local_factors(f: FamilyDef, p_max: int):
         if f.B % p == 0:
             yield p, [], 1.0
             continue
-        roots = _roots_mod_psq(D, p)
+        roots = roots_mod(D, p, 2)
         if len(roots) == p * p:
             raise ZeroDensityError(
                 f"nu({p}) = {p}^2: every t has {p}^2 | D(t); set the "
@@ -116,10 +95,12 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
 
     Marking by primes gives the same good set as marking every
     square-free d (a composite d^2 divides D(t) only if each of its
-    prime squares does).  With exact=True the survivors' D(t) values are
-    factorized, by one sieve over all of them, and those with a square
-    factor beyond d_max are removed; their count is reported as
-    t_set_excess.
+    prime squares does).  Singular fibers (D(t) = 0) are never good:
+    the marking removes them at any sieved prime, and the survivors
+    with D(t) = 0 mod 2^31 - 1 are checked exactly.  With exact=True
+    the survivors' D(t) values are factorized, by one sieve over all of
+    them, and those with a square factor beyond d_max are removed;
+    their count is reported as t_set_excess.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -143,8 +124,10 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
             start = (r - N) % m
             good[start::m] = False
     ts = np.nonzero(good)[0] + N
-    # also drop singular fibers
-    ts = np.array([t for t in ts if f.delta_at(int(t)) != 0], dtype=np.int64)
+    # a singular t survives only when every prime <= d_max divides B
+    zero = vals_mod(D, 2 ** 31 - 1, ts) == 0
+    zero[zero] = [D.eval(t) == 0 for t in ts[zero].tolist()]
+    ts = ts[~zero]
     excess = 0
     if exact:
         keep = []

@@ -26,7 +26,7 @@ import numpy as np
 
 from .family import FamilyDef, SingularFiberError, _bc_invariants
 from .modarith import is_prime, primes_upto
-from .polyint import IntPoly, discriminant, divexact, resultant
+from .polyint import IntPoly, discriminant, divexact, resultant, roots_mod
 
 
 @dataclass
@@ -329,15 +329,6 @@ def _factor_values(P: IntPoly, ts, content: int = 1, budget: int = 64):
     c_rest = content // math.prod(p ** e for p, e in c_small.items())
     roots = {}  # p -> the residues t mod p with P(t) = 0 mod p
 
-    def roots_mod(p):
-        if p not in roots:
-            x = np.arange(p, dtype=np.int64)
-            acc = np.zeros(p, dtype=np.int64)
-            for c in reversed(P.coeffs):
-                acc = (acc * x + c % p) % p
-            roots[p] = np.flatnonzero(acc == 0).tolist()
-        return roots[p]
-
     for lo in range(0, len(ts), _CHUNK):
         chunk = [int(t) for t in ts[lo:lo + _CHUNK]]
         vals = [P.eval(t) for t in chunk]
@@ -351,7 +342,9 @@ def _factor_values(P: IntPoly, ts, content: int = 1, budget: int = 64):
         for p in _trial_primes():
             if p > bound:
                 break
-            r = roots_mod(p)
+            if p not in roots:
+                roots[p] = roots_mod(P, p)
+            r = roots[p]
             if not r:
                 continue
             res = arr % p

@@ -260,7 +260,7 @@ def test_nagao_estimate_presets_never_scan(monkeypatch):
     def forbidden(*args):
         raise AssertionError("residues scanned on the first-moment path")
 
-    monkeypatch.setattr(modarith, "_poly_mod_vals", forbidden)
+    monkeypatch.setattr(modarith, "roots_mod", forbidden)
     for name in ("F1", "F2plus", "F2minus", "washington", "rank1"):
         f = get_family(name)
         est = nagao_estimate(f, 2000)

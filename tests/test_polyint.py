@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from lowlying.family import PRESETS
 from lowlying.polyint import (IntPoly, discriminant, divexact, gcd, poly,
-                              radical, rational_roots, resultant)
+                              radical, rational_roots, resultant, roots_mod,
+                              vals_mod)
 
 small_polys = st.lists(st.integers(-50, 50), min_size=0, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
@@ -61,10 +63,43 @@ def test_ring_ops_match_eval(a, b, t):
     assert (a - b).eval(t) == a.eval(t) - b.eval(t)
 
 
-@given(small_polys, st.integers(-10 ** 6, 10 ** 6), st.integers(2, 10 ** 6))
+SMALL_PRIMES = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+# every preset's D, c4 and c6 (each distinct one once), and polynomials
+# with multiple roots mod p
+MOD_POLYS = {}
+for _name, _f in PRESETS.items():
+    for _key in ("D", "c4", "c6"):
+        if _f.inv[_key] not in MOD_POLYS.values():
+            MOD_POLYS[f"{_name}.{_key}"] = _f.inv[_key]
+MOD_POLYS.update({"t^2(t+1)": poly(0, 0, 1, 1), "4t^2": poly(0, 0, 4),
+                  "8t^3+8": poly(8, 0, 0, 8)})
+
+
+@pytest.mark.parametrize("name", MOD_POLYS)
+def test_vals_mod_and_roots_mod_match_eval(name):
+    # brute force over every t mod p^k
+    P = MOD_POLYS[name]
+    for p in SMALL_PRIMES:
+        for k in (1, 2, 3):
+            m = p ** k
+            vals = [P.eval(t) % m for t in range(m)]
+            assert vals_mod(P, m, np.arange(m)).tolist() == vals, (p, k)
+            want = [t for t, v in enumerate(vals) if v == 0]
+            assert roots_mod(P, p, k) == want, (p, k)
+
+
+@given(small_polys, st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_eval_mod(a, t, m):
-    assert a.eval_mod(t, m) == a.eval(t) % m
+def test_vals_mod_largest_modulus(a, ts):
+    m = 2 ** 31 - 1
+    got = vals_mod(a, m, np.array(ts, dtype=np.int64)).tolist()
+    assert got == [a.eval(t) % m for t in ts]
+
+
+@pytest.mark.parametrize("m", [0, -5, 2 ** 31, 2 ** 40])
+def test_vals_mod_refuses_modulus_out_of_range(m):
+    with pytest.raises(ValueError, match=r"1 <= m < 2\^31"):
+        vals_mod(poly(1, 1), m, np.arange(3))
 
 
 @given(nonzero_polys, nonzero_polys)

@@ -10,7 +10,7 @@ from lowlying.sqsieve import (ZeroDensityError, cardinality_constant,
 
 def nu_brute(D, d):
     m = d * d
-    return sum(1 for t in range(m) if D.eval_mod(t, m) == 0)
+    return sum(1 for t in range(m) if D.eval(t) % m == 0)
 
 
 def test_nu_examples():
@@ -127,12 +127,27 @@ def test_cardinality_constant_f1_range():
 
 def test_zero_density_guidance():
     from lowlying.family import FamilyDef
-    # D(t) = 4(t^2+t+1)^2-ish: force nu(2) = 4 via delta divisible by 4
-    fam = FamilyDef(label="z", a1=poly(), a2=poly(), a3=poly(),
-                    a4=poly(0, 2), a6=poly(2, 0, 2))
-    D = fam.inv["D"]
-    if all(D.eval_mod(t, 4) == 0 for t in range(4)):
-        with pytest.raises(ZeroDensityError):
-            enumerate_good(fam, 100, d_max=10)
-    else:
-        pytest.skip("constructed family does not hit the nu(p)=p^2 case")
+    # four consecutive integers: 4 | t(t+1)(t+2)(t+3) at every t, and the
+    # square-free D keeps that factor, so nu(2) = 4
+    a6 = poly(0, 1) * poly(1, 1) * poly(2, 1) * poly(3, 1)
+    fam = FamilyDef(label="z", a1=poly(), a2=poly(), a3=poly(), a4=poly(),
+                    a6=a6)
+    assert nu(fam.inv["D"], 2) == 4
+    with pytest.raises(ZeroDensityError, match=r"nu\(2\) = 2\^2"):
+        enumerate_good(fam, 100, d_max=10)
+    # the exceptional square B = 2 absorbs the prime
+    fam = FamilyDef(label="z", a1=poly(), a2=poly(), a3=poly(), a4=poly(),
+                    a6=a6, B=2)
+    assert enumerate_good(fam, 100, d_max=10).good_t.size == 33
+
+
+def test_singular_fiber_dropped_when_no_prime_is_sieved():
+    from lowlying.family import FamilyDef
+    # Delta(7) = 0; with B = 2 and d_max = 2 no prime is sieved, so only
+    # the singular-fiber check removes t = 7
+    fam = FamilyDef(label="s", a1=poly(), a2=poly(), a3=poly(), a4=poly(),
+                    a6=poly(-7, 1) * poly(1, 2), B=2)
+    assert fam.delta_at(7) == 0
+    assert enumerate_good(fam, 5, d_max=2).good_t.tolist() == [5, 6, 8, 9, 10]
+    rep = enumerate_good(fam, 5, d_max=2, exact=True)
+    assert rep.good_t.tolist() == [5, 6, 8, 9]
