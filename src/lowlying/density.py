@@ -75,11 +75,8 @@ def log_conductors(f: FamilyDef, ts):
     conductor 8(144t^2 + 60t + 13)^2, and it also sets the prime cutoff
     C^sigma of every washington run.
 
-    Otherwise the one route is `tate.conductors` over the whole set: one
-    sieve of content(delta) D(t), and a bad prime p takes f_p = 2 (p |
-    D1(t), or c4 = 0) or 1 from the family's reduction when p does not
-    divide 6 content(delta) disc(D) Res(D2, c4), v_p(D(t)) = 1 and the
-    primitive delta divides D^11; Tate's algorithm gives every other f_p.
+    Otherwise the one route is `tate.conductors` over the whole set; its
+    docstring and the `tate` module's state the exponent rule.
     """
     ts = np.asarray(ts, dtype=np.int64)
     if f.expected_conductor is not None:

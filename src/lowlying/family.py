@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .polyint import IntPoly, divexact, gcd, poly, radical
+from .polyint import IntPoly, poly, radical, rational_roots
 
 
 class DegenerateFamilyError(ValueError):
@@ -57,7 +57,6 @@ class FamilyDef:
     sign_rule: SignRule = field(default_factory=lambda: SignRule("Equidistributed"))
     rank: int = 0
     expected_conductor: Optional[IntPoly] = None
-    assert_factor_degrees_le3: bool = False
 
     def __post_init__(self):
         inv = invariants(self)
@@ -72,10 +71,12 @@ class FamilyDef:
     @property
     def abc_flag(self):
         """True when an irreducible factor of the discriminant may have
-        degree >= 4, making the sieve cardinality ABC-conditional."""
-        if self.assert_factor_degrees_le3:
-            return False
-        return self._inv["D"].degree >= 4
+        degree >= 4, making the sieve cardinality ABC-conditional: the
+        cofactor rational_roots(D) leaves has degree >= 4."""
+        D = self._inv["D"]
+        # the cofactor's degree is at most deg D; a D of degree < 4 needs
+        # no np.roots, whose eigenvalue solver adds to a run's peak RSS
+        return D.degree >= 4 and rational_roots(D)[1].degree >= 4
 
     def specialize(self, t):
         """Integer Weierstrass coefficients of the fiber at integer t."""
@@ -106,8 +107,7 @@ def _bc_invariants(a1, a2, a3, a4, a6):
 def invariants(f: FamilyDef) -> dict:
     """Standard Weierstrass quantities of the family as polynomials.
 
-    D is the primitive square-free part of the discriminant; D1 collects
-    the factors shared with c4, D2 = D/D1 the rest.
+    D is the primitive square-free part of the discriminant.
     """
     b2, b4, b6, b8, c4, c6, delta = _bc_invariants(f.a1, f.a2, f.a3, f.a4,
                                                    f.a6)
@@ -115,14 +115,8 @@ def invariants(f: FamilyDef) -> dict:
         raise DegenerateFamilyError(f"{f.label}: discriminant identically zero")
     assert c4 ** 3 - c6 ** 2 == 1728 * delta
     assert 4 * b8 == b2 * b6 - b4 * b4
-    D = radical(delta)
-    if c4.is_zero():
-        D1 = IntPoly([1])
-    else:
-        D1 = gcd(D, radical(c4))
-    D2 = divexact(D, D1).primitive()
     return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
-            "delta": delta, "D": D, "D1": D1, "D2": D2}
+            "delta": delta, "D": radical(delta)}
 
 
 def sign(f: FamilyDef, t: int):
@@ -222,7 +216,6 @@ def _presets():
         sign_rule=SignRule("BirchStephensCubic", poly(1, 9)),
         rank=0,
         expected_conductor=IntPoly([27]) * poly(1, 9) ** 2,
-        assert_factor_degrees_le3=True,
     )
     f2p = FamilyDef(
         label="F2plus",
@@ -231,7 +224,6 @@ def _presets():
         sign_rule=SignRule("BirchStephensQuartic", poly(2, 4)),
         rank=0,
         expected_conductor=IntPoly([64]) * poly(2, 4) ** 2,
-        assert_factor_degrees_le3=True,
     )
     f2m = FamilyDef(
         label="F2minus",
@@ -240,7 +232,6 @@ def _presets():
         sign_rule=SignRule("BirchStephensQuartic", poly(-2, -4)),
         rank=0,
         expected_conductor=IntPoly([64]) * poly(2, 4) ** 2,
-        assert_factor_degrees_le3=True,
     )
     washington = FamilyDef(
         "washington",
@@ -253,7 +244,6 @@ def _presets():
         # conductor is 8 (144t^2 + 60t + 13)^2, as the functional equation
         # confirms on small fibers.
         expected_conductor=IntPoly([8]) * poly(13, 60, 144),
-        assert_factor_degrees_le3=True,
     )
     rank1 = FamilyDef(
         "rank1", *_reparametrize([z, poly(0, 1), z, z, poly(1)], 6, 1),
@@ -263,7 +253,6 @@ def _presets():
         # moving the singular point (0, 1) to the origin) with
         # v_2(delta) = 4 and two components: Ogg gives f_2 = 3.
         expected_conductor=IntPoly([8]) * (4 * poly(1, 6) ** 3 + 27),
-        assert_factor_degrees_le3=True,
     )
     A = 8916100448256000000
     B = -811365140824616222208
@@ -301,19 +290,17 @@ def get_family(name: str) -> FamilyDef:
 def load_family(path) -> FamilyDef:
     """Load a family from a UTF-8 JSON config file.
 
-    Schema: {"label", "a": [[a1],...,[a6]] ascending coefficient lists,
-    "reparam": [c, t0], "B": int, "sign_rule": {"kind", "D": coeffs?},
-    "rank": int, "expected_conductor": coeffs or null,
-    "assert_factor_degrees_le3": bool}.
+    Schema: {"label", "a": [[a1], [a2], [a3], [a4], [a6]] ascending
+    coefficient lists, "reparam": [c, t0], "B": int, "sign_rule": {"kind",
+    "D": coeffs?}, "rank": int, "expected_conductor": coeffs or null}.
+    Other keys are ignored.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     a = [IntPoly(cs) for cs in cfg["a"]]
-    if len(a) == 6:
-        a = a[:4] + [a[5]]  # drop the unused a5 slot
     if len(a) != 5:
-        raise ValueError("config 'a' must list coefficient arrays for "
-                         "a1, a2, a3, a4, a6")
+        raise ValueError(f"config 'a' must list 5 coefficient arrays, for "
+                         f"a1, a2, a3, a4, a6 (no a5 slot); got {len(a)}")
     c, t0 = cfg.get("reparam", (1, 0))
     a = _reparametrize(a, c, t0)
     sr = cfg.get("sign_rule", {"kind": "Equidistributed"})
@@ -327,5 +314,4 @@ def load_family(path) -> FamilyDef:
         sign_rule=rule,
         rank=int(cfg.get("rank", 0)),
         expected_conductor=IntPoly(ec) if ec else None,
-        assert_factor_degrees_le3=bool(cfg.get("assert_factor_degrees_le3", False)),
     )

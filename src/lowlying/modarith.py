@@ -286,13 +286,11 @@ def _a1_fast(polys, p: int) -> int:
     return total
 
 
-def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto",
-               table=None) -> int:
+def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto") -> int:
     """Exact A_r(p) = sum over t mod p of a_t(p)^r, for p > 3, r in {1,2}.
 
-    table, if given, is ap_table(f, p), summed in place of a new one.
-    Without it, method "auto" takes A_1 from `_a1_fast` when g(x, t) has
-    t-degree <= 2.
+    Method "auto" takes A_1 from `_a1_fast` when g(x, t) has t-degree
+    <= 2.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("moment sums need a prime p > 3")
@@ -303,43 +301,11 @@ def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto",
     if method == "bruteforce":
         chi = chi_table(p)
         return sum(a_p(f, t, p, chi=chi) ** r for t in range(p))
-    if r == 1 and table is None:
+    if r == 1:
         polys = _a1_polys(f)
         if polys is not None:
             return _a1_fast(polys, p)
-    tab = ap_table(f, p) if table is None else table
-    return int((tab ** r).sum(dtype=object))
-
-
-def product_moment(f: FamilyDef, primes, powers, method: str = "auto") -> int:
-    """Sum over t mod prod(p_i) of prod a_t(p_i)^{r_i}.
-
-    Factors as the product of single-prime moment sums; the bruteforce
-    method instead enumerates t mod the full product (testing oracle).
-    """
-    primes, powers = list(primes), list(powers)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be pairwise distinct")
-    if any(p <= 3 for p in primes):
-        raise ValueError("primes must exceed 3")
-    if method not in ("auto", "bruteforce"):
-        raise ValueError(f"unknown moment method {method!r}")
-    if method == "bruteforce":
-        tables = {p: ap_table(f, p) for p in primes}
-        modulus = 1
-        for p in primes:
-            modulus *= p
-        total = 0
-        for t in range(modulus):
-            term = 1
-            for p, r in zip(primes, powers):
-                term *= int(tables[p][t % p]) ** r
-            total += term
-        return total
-    out = 1
-    for p, r in zip(primes, powers):
-        out *= moment_sum(f, p, r)
-    return out
+    return int((ap_table(f, p) ** r).sum(dtype=object))
 
 
 # -- tables and closed forms -----------------------------------------------
@@ -363,10 +329,11 @@ class MomentTable:
                 a1, a2 = _a1_fast(polys, p), None
             else:
                 # A2, or A1 past t-degree 2, needs the table; A1 and A2
-                # are summed from the same one
+                # are summed from the same one, exactly in int64 since
+                # p * 4p < 2^63 for p <= 10^9
                 tab_p = ap_table(f, p)
-                a1 = moment_sum(f, p, 1, table=tab_p)
-                a2 = moment_sum(f, p, 2, table=tab_p) if second else None
+                a1 = int(tab_p.sum())
+                a2 = int((tab_p * tab_p).sum()) if second else None
             bound = p * (isqrt(4 * p) + 1)  # p summands, each |a_t| <= 2 sqrt p
             assert abs(a1) <= bound
             if a2 is not None:

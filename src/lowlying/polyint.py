@@ -5,7 +5,6 @@ All arithmetic is arbitrary precision; evaluation at any integer is exact.
 `vals_mod` and `roots_mod` are the one route to P(x) mod m over an array
 and to the roots of P mod p^k.
 `rational_roots` uses floats only to propose roots, each checked exactly.
-`resultant` and `discriminant` are exact integer determinants (Bareiss).
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ class IntPoly:
     def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
 
-    def constant(self):
-        return self.coeffs[0] if self.coeffs else 0
-
     def __eq__(self, other):
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
@@ -57,23 +53,6 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(f"{c:+d}")
-            elif i == 1:
-                parts.append(f"{c:+d}*t")
-            else:
-                parts.append(f"{c:+d}*t^{i}")
-        s = " ".join(parts)
-        return s.lstrip("+").replace("+", "+ ").replace("-", "- ").lstrip() if s else "0"
 
     # -- ring operations ---------------------------------------------------
 
@@ -307,52 +286,3 @@ def rational_roots(f: IntPoly):
         lin = lin * IntPoly([-a, b])
     return sorted(roots), divexact(f, lin)
 
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination: every division is exact, so no entry leaves Z."""
-    m = [list(r) for r in rows]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if i is None:
-                return 0
-            m[k], m[i] = m[i], m[k]
-            sign = -sign
-        piv, row = m[k][k], m[k]
-        for r in m[k + 1:]:
-            lead = r[k]
-            for j in range(k + 1, n):
-                r[j] = (r[j] * piv - lead * row[j]) // prev
-        prev = piv
-    return sign * m[-1][-1] if n else 1
-
-
-def resultant(a: IntPoly, b: IntPoly) -> int:
-    """Res(a, b): the determinant of the Sylvester matrix of a and b.
-
-    Res(a, b) = U a + V b for some U, V in Z[t], so p | a(t) and p | b(t)
-    at an integer t imply p | Res(a, b).  A constant c against a
-    polynomial of degree n gives c^n; a zero polynomial gives 0.
-    """
-    if a.is_zero() or b.is_zero():
-        return 0
-    m, n = a.degree, b.degree
-    rows = [[0] * i + list(reversed(a.coeffs)) + [0] * (n - 1 - i)
-            for i in range(n)]
-    rows += [[0] * i + list(reversed(b.coeffs)) + [0] * (m - 1 - i)
-             for i in range(m)]
-    return _det(rows)
-
-
-def discriminant(f: IntPoly) -> int:
-    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f); 1 for degree 1 and 0
-    for a constant, as in sympy."""
-    d = f.degree
-    if d < 1:
-        return 0
-    r = resultant(f, f.derivative())
-    q, rem = divmod(r, f.leading())
-    assert rem == 0
-    return -q if d * (d - 1) // 2 % 2 else q

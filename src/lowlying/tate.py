@@ -6,11 +6,9 @@ non-minimal models.
 
 `conductors(f, ts)` is the one route for a set of fibers.  It factors
 content(delta) D(t) for every t by one sieve over the small primes,
-with the same prime powers and cofactor as `factorize`.  A bad prime p
-takes its exponent from the family's own reduction when three
-conditions hold: p does not divide M = 6 content(delta) disc(D)
-Res(D2, c4) (no Res factor when c4 = 0), v_p(D(t)) = 1, and the
-primitive delta divides D^11.  Then f_p = 2 if c4 = 0 or p | D1(t), and
+with the same prime powers and cofactor as `factorize`.  In a family
+whose primitive delta divides D^11, a bad prime p that does not divide
+6 content(delta) and has v_p(D(t)) = 1 takes f_p = 2 if p | c4(t) and
 f_p = 1 otherwise.  Every other bad prime goes to `tate_local`.
 `conductor(f, t)` runs `tate_local` at every bad prime of one fiber
 that `factorize` finds; it is the oracle of `conductors` in the tests.
@@ -26,7 +24,7 @@ import numpy as np
 
 from .family import FamilyDef, SingularFiberError, _bc_invariants
 from .modarith import is_prime, primes_upto
-from .polyint import IntPoly, discriminant, divexact, resultant, roots_mod
+from .polyint import IntPoly, divexact, roots_mod
 
 
 @dataclass
@@ -410,19 +408,15 @@ def conductor(f: FamilyDef, t: int):
 
 
 def _rule_modulus(f: FamilyDef) -> int:
-    """M = 6 content(delta) disc(D) Res(D2, c4) of `conductors`' exponent
-    rule (no Res factor when c4 = 0), or 0, which sends every bad prime
-    to tate_local, when the primitive delta does not divide D^11."""
-    inv = f.inv
-    D, delta, c4 = inv["D"], inv["delta"], inv["c4"]
+    """6 content(delta), the modulus of `conductors`' exponent rule, or 0,
+    which sends every bad prime to tate_local, when the primitive delta
+    does not divide D^11."""
+    D, delta = f.inv["D"], f.inv["delta"]
     try:
         divexact(D ** 11, delta.primitive())
     except ValueError:
         return 0
-    M = 6 * delta.content() * discriminant(D)
-    if not c4.is_zero():
-        M *= resultant(inv["D2"], c4)
-    return M
+    return 6 * delta.content()
 
 
 def conductors(f: FamilyDef, ts):
@@ -430,34 +424,33 @@ def conductors(f: FamilyDef, ts):
     of content(delta) D(t); only a chunk of factorizations is held.
 
     The factorizations come from `_factor_values` and equal factorize's.
-    A bad prime p of the fiber takes its exponent from the family's own
-    reduction when three conditions hold: p does not divide
-    M = 6 content(delta) disc(D) Res(D2, c4) (no Res factor when c4 = 0),
-    v_p(D(t)) = 1, and the primitive delta divides D^11.  Then p divides
-    exactly one factor R of D(t), once, and v_p(delta(t)) is R's
-    multiplicity in delta, at most 11, so the model is minimal at p > 3.
-    If R divides c4 (p | D1(t), or c4 = 0) the reduction is additive and
-    tame, f_p = 2; otherwise p does not divide Res(D2, c4), so it does
-    not divide c4(t) and the reduction is multiplicative, f_p = 1
-    (Silverman, Advanced Topics, IV.9).  disc(D) is a margin the argument
-    does not use: it keeps at Tate the primes where two factors of D meet
-    mod p.  Every other bad prime goes to tate_local on the fiber's
-    model.  A singular fiber raises
-    SingularFiberError, and a cofactor is handled as in `conductor`.
+    In a family whose primitive delta divides D^11, a bad prime p that
+    does not divide 6 content(delta) and has v_p(D(t)) = 1 takes f_p = 2
+    if p | c4(t) and f_p = 1 otherwise.  Such a p divides R(t) for exactly
+    one irreducible factor R of D, once, so v_p(delta(t)) is R's
+    multiplicity in delta, at most 11, and the model is minimal at p.
+    A minimal model with p | c4 has additive reduction, tame as p > 3,
+    so f_p = 2; one with p not dividing c4 has multiplicative reduction,
+    f_p = 1 (Silverman, AEC VII.5.1; Advanced Topics, IV.10).  c4(t) is
+    evaluated once per fiber, and only when such a prime occurs.  Every
+    other bad prime goes to tate_local on the fiber's model.  A singular
+    fiber raises SingularFiberError, and a cofactor is handled as in
+    `conductor`.
     """
     inv = f.inv
-    M = _rule_modulus(f)
-    D1, additive = inv["D1"], inv["c4"].is_zero()
+    M, c4 = _rule_modulus(f), inv["c4"]
     for t, fac in zip(ts, _factor_values(inv["D"], ts,
                                          inv["delta"].content())):
         t = int(t)
         if fac is None:
             f.specialize(t)  # raises SingularFiberError
-        ai = None
+        ai = c4t = None
         C = 1
         for p, e in fac.prime_powers.items():
             if e == 1 and M % p:
-                C *= p * p if additive or D1.eval(t) % p == 0 else p
+                if c4t is None:
+                    c4t = c4.eval(t)
+                C *= p * p if c4t % p == 0 else p
             else:
                 ai = ai or f.specialize(t)
                 C *= p ** tate_local(ai, p).f_p

@@ -88,9 +88,6 @@ class TestFn:
     fhat0: float = 0.0
     int_box1: float = 0.0      # integral of fhat over [-1, 1]
 
-    def __call__(self, x):
-        return self.f(x)
-
 
 def _fejer_f(sigma):
     def f(x):
@@ -168,15 +165,16 @@ def make_smooth_bump(sigma) -> TestFn:
 
 
 def make_testfn(spec: str) -> TestFn:
-    """Parse 'fejer:0.45' or 'smoothbump:0.3'."""
+    """Parse 'fejer:0.45' or 'smoothbump:0.3'; sigma is required."""
     kind, _, val = spec.partition(":")
-    sigma = float(val) if val else 1.0
     kind = kind.strip().lower()
-    if kind == "fejer":
-        return make_fejer(sigma)
-    if kind in ("smoothbump", "bump"):
-        return make_smooth_bump(sigma)
-    raise ValueError(f"unknown test function kind {kind!r}")
+    make = {"fejer": make_fejer, "smoothbump": make_smooth_bump}.get(kind)
+    if make is None:
+        raise ValueError(f"unknown test function kind {kind!r}")
+    if not val.strip():
+        raise ValueError(f"test function {spec!r} has no sigma; write it "
+                         f"as kind:sigma, e.g. 'fejer:0.3'")
+    return make(float(val))
 
 
 # -- functionals -----------------------------------------------------------

@@ -100,6 +100,15 @@ def test_nonfinite_sigma_fails(capsys, argv):
     assert "error: sigma must be finite and positive" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["fejer", "fejer:"])
+def test_testfn_without_sigma_fails(capsys, spec):
+    status = main(["density", "--family", "F1", "--N", "50", "--testfn",
+                   spec])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "has no sigma" in captured.err and "'fejer:0.3'" in captured.err
+
+
 def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [

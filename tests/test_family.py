@@ -7,7 +7,7 @@ import pytest
 from lowlying.family import (FamilyDef, PRESETS, SignRule, get_family,
                              invariants, load_family, n_minus, sign)
 from lowlying.family import SingularFiberError
-from lowlying.polyint import IntPoly, gcd, poly
+from lowlying.polyint import IntPoly, poly, rational_roots
 
 
 def test_presets_exist():
@@ -23,10 +23,6 @@ def test_invariant_identities_all_presets():
         inv = fam.inv
         assert inv["c4"] ** 3 - inv["c6"] ** 2 == 1728 * inv["delta"]
         assert 4 * inv["b8"] == inv["b2"] * inv["b6"] - inv["b4"] * inv["b4"]
-        assert inv["D1"] * inv["D2"] == inv["D"]
-        if not inv["c4"].is_zero():
-            from lowlying.polyint import radical
-            assert gcd(inv["D2"], radical(inv["c4"])).is_constant()
 
 
 def test_washington_invariants():
@@ -111,8 +107,17 @@ def test_n_minus_matches_per_fiber_signs(name):
 def test_abc_flag():
     assert not get_family("F1").abc_flag
     assert not get_family("washington").abc_flag
-    # rank6 discriminant has high-degree irreducible factors, no assertion
+    # rank6 discriminant has high-degree irreducible factors
     assert get_family("rank6").abc_flag
+    # the cofactor rational_roots(D) leaves, in preset order
+    degs = [rational_roots(f.inv["D"])[1].degree for f in PRESETS.values()]
+    assert degs == [0, 0, 0, 2, 3, 6]
+    assert [f.abc_flag for f in PRESETS.values()] == [False] * 5 + [True]
+    # D = t (t^4 + t + 1): a linear root and an irreducible quartic
+    quartic = FamilyDef("q", poly(), poly(), poly(), poly(),
+                        poly(0, 1) * poly(1, 1, 0, 0, 1))
+    assert rational_roots(quartic.inv["D"])[1].degree >= 4
+    assert quartic.abc_flag
 
 
 def test_load_family_roundtrip(tmp_path):
@@ -131,6 +136,17 @@ def test_load_family_roundtrip(tmp_path):
     w = get_family("washington")
     assert fam.specialize(3) == w.specialize(3)
     assert fam.expected_conductor == w.expected_conductor
+    assert not fam.abc_flag  # the retired key is ignored
+
+
+@pytest.mark.parametrize("a5", [[0], [7, 1]])
+def test_load_family_rejects_a5_slot(tmp_path, a5):
+    # a 6-entry list was read as a1..a6 with a5 dropped, even a nonzero a5
+    cfg = {"label": "six", "a": [[0], [0, 1], [0], [-3, -1], a5, [1]]}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ValueError, match="5 coefficient arrays.*got 6"):
+        load_family(path)
 
 
 def test_expected_conductor_polys():

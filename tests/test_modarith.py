@@ -12,8 +12,7 @@ from lowlying.family import FamilyDef, get_family, load_family
 from lowlying.modarith import (MomentTable, a_p, a_p_enumerate, ap_table,
                                chi_table, closed_form_moments,
                                cube_residue_indicator, is_prime, legendre,
-                               moment_sum, nagao_estimate, primes_upto,
-                               product_moment)
+                               moment_sum, nagao_estimate, primes_upto)
 from lowlying.polyint import IntPoly
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23]
@@ -117,8 +116,6 @@ def test_moment_methods_unknown_raises():
     f = get_family("F1")
     with pytest.raises(ValueError, match="unknown moment method"):
         moment_sum(f, 7, 1, method="brutefroce")
-    with pytest.raises(ValueError, match="unknown moment method"):
-        product_moment(f, [5, 7], [1, 1], method="brute")
 
 
 def test_closed_form_moments_small():
@@ -131,14 +128,6 @@ def test_closed_form_moments_small():
             assert moment_sum(f, p, 1) == cf1, (name, p)
             if cf2 is not None:
                 assert moment_sum(f, p, 2) == cf2, (name, p)
-
-
-def test_product_moment_multiplicative():
-    f = get_family("F1")
-    direct = product_moment(f, [5, 7], [1, 2], method="bruteforce")
-    fast = product_moment(f, [5, 7], [1, 2])
-    assert direct == fast
-    assert fast == moment_sum(f, 5, 1) * moment_sum(f, 7, 2)
 
 
 def test_cube_residue_indicator():

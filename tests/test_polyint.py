@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowlying.family import PRESETS
-from lowlying.polyint import (IntPoly, discriminant, divexact, gcd, poly,
-                              radical, rational_roots, resultant, roots_mod,
-                              vals_mod)
+from lowlying.polyint import (IntPoly, divexact, gcd, poly, radical,
+                              rational_roots, roots_mod, vals_mod)
 
 small_polys = st.lists(st.integers(-50, 50), min_size=0, max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
@@ -233,63 +232,9 @@ def test_rational_roots_floats_only_propose():
     assert rational_roots(IntPoly([5])) == ([], IntPoly([5]))
 
 
-def _sympy_resultant(a, b):
-    """Res(a, b) from sympy.  The Sylvester determinant of sympy's
-    subresultants module is the oracle for degrees >= 1; sympy.resultant
-    itself is off by (-1)^(deg a deg b) when deg a < deg b (it gives -8
-    for Res(t - 2, t^3) = 8), so it is used only for deg a >= deg b."""
-    from sympy.polys.subresultants_qq_zz import res
-
-    if a.degree >= b.degree:
-        want = sympy.resultant(_to_sympy(a), _to_sympy(b))
-        if a.degree >= 1 and b.degree >= 1:
-            assert want == res(_to_sympy(a).as_expr(), _to_sympy(b).as_expr(), _T)
-        return want
-    return res(_to_sympy(a).as_expr(), _to_sympy(b).as_expr(), _T)
-
-
-@given(small_polys, small_polys, small_polys)
-@settings(max_examples=300, deadline=None)
-def test_resultant_discriminant_match_sympy(common, a, b):
-    assert resultant(a, b) == (_sympy_resultant(a, b)
-                               if not (a.is_zero() or b.is_zero()) else 0)
-    if not (common.is_constant() or a.is_zero() or b.is_zero()):
-        assert resultant(a * common, b * common) == 0  # a shared root
-    if not a.is_zero():
-        assert discriminant(a) == sympy.discriminant(_to_sympy(a))
-        assert discriminant(a * a) == 0
-
-
-def test_resultant_discriminant_small_degrees():
-    assert resultant(IntPoly([5]), IntPoly([7])) == 1
-    assert resultant(IntPoly([5]), poly(1, 0, 1)) == 25
-    assert resultant(poly(1, 0, 1), IntPoly([5])) == 25
-    assert resultant(poly(-2, 1), poly(0, 0, 0, 1)) == 8
-    assert resultant(poly(0, 0, 0, 1), poly(-2, 1)) == -8
-    assert resultant(poly(-6, 3), poly(4, -2)) == 0
-    assert resultant(IntPoly(), poly(1, 1)) == 0
-    assert discriminant(IntPoly([5])) == 0
-    assert discriminant(poly(2, 3)) == 1
-    assert discriminant(poly(1, 0, 1)) == -4
-    assert discriminant(poly(2, 0, 0, 1)) == -108
-    for name, f in PRESETS.items():
-        D = f.inv["D"]
-        assert discriminant(D) == sympy.discriminant(_to_sympy(D)), name
-
-
 def test_preset_invariants_match_sympy():
     for name, f in PRESETS.items():
-        inv = f.inv
-        D = _sympy_radical(inv["delta"])
-        if inv["c4"].is_zero():
-            D1 = poly(1)
-        else:
-            rc4 = _sympy_radical(inv["c4"])
-            D1 = _from_sympy(sympy.gcd(_to_sympy(D), _to_sympy(rc4))).primitive()
-        q, r = sympy.div(_to_sympy(D), _to_sympy(D1))
-        assert r.is_zero
-        D2 = _from_sympy(q).primitive()
-        assert (inv["D"], inv["D1"], inv["D2"]) == (D, D1, D2), name
+        assert f.inv["D"] == _sympy_radical(f.inv["delta"]), name
 
 
 def test_cli_import_leaves_sympy_out():

@@ -14,7 +14,7 @@ from lowlying.family import (DegenerateFamilyError, FamilyDef,
                              SingularFiberError, _bc_invariants, get_family,
                              load_family, sign)
 from lowlying.modarith import a_p_enumerate, chi_table, is_prime, primes_upto
-from lowlying.polyint import IntPoly, poly
+from lowlying.polyint import IntPoly, gcd, poly, radical
 from lowlying.sqsieve import enumerate_good
 from lowlying import tate
 from lowlying.tate import (_iroot, _transform, _vp, conductor, conductors,
@@ -488,17 +488,37 @@ def _random_family(rng, k):
 def test_conductors_random_families():
     rng = random.Random(20261019)
     fams = [_random_family(rng, k) for k in range(30)]
-    # c4 != 0 with an additive factor D1 = t and a multiplicative D2 = 4t + 27
-    fams.append(FamilyDef("d1d2", poly(), poly(), poly(), poly(0, 1),
+    # c4 != 0 with an additive factor t and a multiplicative one 4t + 27
+    fams.append(FamilyDef("shared", poly(), poly(), poly(), poly(0, 1),
                           poly(0, 1)))
     kinds = set()
     for f in fams:
-        c4, D1, D2 = f.inv["c4"], f.inv["D1"], f.inv["D2"]
-        kinds.add((c4.is_zero(), D1.degree >= 1, D2.degree >= 1))
+        D, c4 = f.inv["D"], f.inv["c4"]
+        if not c4.is_zero():
+            # (D shares a factor with c4, D has a factor c4 lacks)
+            shared = gcd(D, radical(c4)).degree
+            kinds.add((shared >= 1, shared < D.degree))
         ts = [t for t in range(-25, 60) if f.delta_at(t) != 0]
         assert list(conductors(f, ts)) == [conductor(f, t) for t in ts], f
         assert tate._rule_modulus(f) != 0
-    assert {(False, False, True), (False, True, True)} <= kinds, kinds
+    assert {(False, True), (True, True)} <= kinds, kinds
+
+
+def test_conductors_rule_reads_c4_at_primes_of_disc_D(monkeypatch):
+    # 5 divides disc(D) but not 6 content(delta): at v_5(D(t)) = 1 the
+    # exponent comes from c4(t) mod 5, with no Tate run at 5
+    f = FamilyDef("five", poly(2), poly(-2), poly(-3), poly(-5, -2),
+                  poly(6, 2))
+    assert tate._rule_modulus(f) == 6
+    ts = list(range(-40, 200))
+    assert list(conductors(f, ts)) == [conductor(f, t) for t in ts]
+    D = f.inv["D"]
+    once = [t for t in ts if D.eval(t) % 5 == 0 and D.eval(t) % 25]
+    assert len(once) == 38
+    calls = _count_tate_local(monkeypatch)
+    assert list(conductors(f, once)) == [conductor(f, t) for t in once]
+    # conductor runs Tate at 5 on every fiber; conductors never does
+    assert calls.count(5) == len(once)
 
 
 def test_conductors_nonminimal_family_falls_back_to_tate(monkeypatch):

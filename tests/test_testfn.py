@@ -30,8 +30,9 @@ def test_invalid_sigma():
         make_fejer(0.0)
     with pytest.raises(ValueError):
         make_smooth_bump(-1.0)
-    with pytest.raises(ValueError):
-        make_testfn("sinc:1")
+    for spec in ("sinc:1", "bump:0.3"):  # no "bump" alias
+        with pytest.raises(ValueError, match="unknown test function kind"):
+            make_testfn(spec)
     for sigma in (float("nan"), float("inf"), -float("inf")):
         for make in (make_fejer, make_smooth_bump):
             with pytest.raises(ValueError, match="finite and positive"):
@@ -43,6 +44,13 @@ def test_parse():
     assert f.kind == "fejer" and f.sigma == 0.3
     g = make_testfn("smoothbump:0.45")
     assert g.kind == "smoothbump"
+
+
+@pytest.mark.parametrize("spec", ["fejer", "fejer:", "smoothbump: "])
+def test_parse_requires_sigma(spec):
+    # a missing sigma once meant sigma = 1.0, a run far slower than intended
+    with pytest.raises(ValueError, match="'fejer:0.3'"):
+        make_testfn(spec)
 
 
 def test_compact_support():
