@@ -59,6 +59,8 @@ class FamilyDef:
     expected_conductor: Optional[IntPoly] = None
 
     def __post_init__(self):
+        if self.B < 1:  # every prime would divide B = 0 and none be sieved
+            raise ValueError(f"exceptional square B must be >= 1, got {self.B}")
         inv = invariants(self)
         object.__setattr__(self, "_inv", inv)
 

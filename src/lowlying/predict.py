@@ -56,6 +56,8 @@ def predict_d2(g1: TestFn, g2: TestFn, r: int = 0) -> dict:
     forced central zeros, (r^2-r)g1(0)g2(0) + r ghat1(0)g2(0)
     + r g1(0)ghat2(0), as predict_d1 adds r*g(0).
     """
+    if r < 0:
+        raise ValueError("rank must be non-negative")
     if g1.sigma + g2.sigma >= 1.0:
         raise ValueError("2-level prediction needs sigma1 + sigma2 < 1")
     fun = functionals(g1, g2)

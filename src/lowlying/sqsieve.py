@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .family import FamilyDef
-from .modarith import primes_upto
+from .modarith import PRIME_LIMIT, primes_upto
 from .polyint import IntPoly, roots_mod, vals_mod
 from .tate import _factor_values, factorize
 
@@ -104,6 +104,8 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
     """
     if N < 1:
         raise ValueError("N must be positive")
+    if N > PRIME_LIMIT:  # the mask below takes N + 1 bytes
+        raise ValueError(f"sieve of N = {N} fibers exceeds the limit 10^9")
     if d_max is None:
         d_max = default_d_max(N)
     if d_max < 2:

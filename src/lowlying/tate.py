@@ -6,10 +6,18 @@ non-minimal models.
 
 `conductors(f, ts)` is the one route for a set of fibers.  It factors
 content(delta) D(t) for every t by one sieve over the small primes,
-with the same prime powers and cofactor as `factorize`.  In a family
-whose primitive delta divides D^11, a bad prime p that does not divide
-6 content(delta) and has v_p(D(t)) = 1 takes f_p = 2 if p | c4(t) and
-f_p = 1 otherwise.  Every other bad prime goes to `tate_local`.
+with the same prime powers and cofactor as `factorize`.  Each bad prime
+p takes its exponent from c4(t) and c6(t) by one local rule:
+
+- p does not divide c4(t): the model is minimal at p and the reduction
+  multiplicative, so f_p = 1, at every p, 2 and 3 included;
+- p > 3 with v_p(c4(t)) < 4 or v_p(c6(t)) < 6: the model is minimal
+  and the reduction additive, tame as p >= 5, so f_p = 2;
+- otherwise (additive reduction at 2 or 3, or a model that may not be
+  minimal at p > 3) `tate_local` decides.
+
+(Silverman, AEC VII.1.1 and VII.5.1; Advanced Topics, IV.10.)
+
 `conductor(f, t)` runs `tate_local` at every bad prime of one fiber
 that `factorize` finds; it is the oracle of `conductors` in the tests.
 """
@@ -24,7 +32,7 @@ import numpy as np
 
 from .family import FamilyDef, SingularFiberError, _bc_invariants
 from .modarith import is_prime, primes_upto
-from .polyint import IntPoly, divexact, roots_mod
+from .polyint import IntPoly, roots_mod
 
 
 @dataclass
@@ -407,50 +415,32 @@ def conductor(f: FamilyDef, t: int):
     return C, complete
 
 
-def _rule_modulus(f: FamilyDef) -> int:
-    """6 content(delta), the modulus of `conductors`' exponent rule, or 0,
-    which sends every bad prime to tate_local, when the primitive delta
-    does not divide D^11."""
-    D, delta = f.inv["D"], f.inv["delta"]
-    try:
-        divexact(D ** 11, delta.primitive())
-    except ValueError:
-        return 0
-    return 6 * delta.content()
-
-
 def conductors(f: FamilyDef, ts):
     """Yield conductor(f, t) for each t of the sequence ts, from one sieve
     of content(delta) D(t); only a chunk of factorizations is held.
 
     The factorizations come from `_factor_values` and equal factorize's.
-    In a family whose primitive delta divides D^11, a bad prime p that
-    does not divide 6 content(delta) and has v_p(D(t)) = 1 takes f_p = 2
-    if p | c4(t) and f_p = 1 otherwise.  Such a p divides R(t) for exactly
-    one irreducible factor R of D, once, so v_p(delta(t)) is R's
-    multiplicity in delta, at most 11, and the model is minimal at p.
-    A minimal model with p | c4 has additive reduction, tame as p > 3,
-    so f_p = 2; one with p not dividing c4 has multiplicative reduction,
-    f_p = 1 (Silverman, AEC VII.5.1; Advanced Topics, IV.10).  c4(t) is
-    evaluated once per fiber, and only when such a prime occurs.  Every
-    other bad prime goes to tate_local on the fiber's model.  A singular
-    fiber raises SingularFiberError, and a cofactor is handled as in
-    `conductor`.
+    c4(t) and c6(t) are evaluated once per fiber, and each bad prime
+    takes f_p by the module's local rule: 1 if p does not divide c4(t);
+    2 if p > 3 and v_p(c4(t)) < 4 or v_p(c6(t)) < 6; else tate_local on
+    the fiber's model.  A singular fiber raises SingularFiberError, and a
+    cofactor is handled as in `conductor`.
     """
     inv = f.inv
-    M, c4 = _rule_modulus(f), inv["c4"]
+    c4, c6 = inv["c4"], inv["c6"]
     for t, fac in zip(ts, _factor_values(inv["D"], ts,
                                          inv["delta"].content())):
         t = int(t)
         if fac is None:
             f.specialize(t)  # raises SingularFiberError
-        ai = c4t = None
+        c4t, c6t = c4.eval(t), c6.eval(t)
+        ai = None
         C = 1
-        for p, e in fac.prime_powers.items():
-            if e == 1 and M % p:
-                if c4t is None:
-                    c4t = c4.eval(t)
-                C *= p * p if c4t % p == 0 else p
+        for p in fac.prime_powers:
+            if c4t % p:
+                C *= p
+            elif p > 3 and (c4t % p ** 4 or c6t % p ** 6):
+                C *= p * p
             else:
                 ai = ai or f.specialize(t)
                 C *= p ** tate_local(ai, p).f_p

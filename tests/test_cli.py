@@ -82,6 +82,15 @@ def test_predict_json(capsys):
     assert abs(obj["d2"]["SOeven"] - 0.765625) < 1e-9
 
 
+@pytest.mark.parametrize("extra", [(), ("--testfn2", "fejer:0.2")])
+def test_predict_negative_rank_fails(capsys, extra):
+    status = main(["predict", "--testfn", "fejer:0.2", *extra,
+                   "--rank", "-1"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "error: rank must be non-negative" in captured.err
+
+
 def test_unknown_family_fails(capsys):
     status, _ = run(capsys, "moments", "--family", "nope", "--pmax", "20")
     assert status == 2
@@ -215,6 +224,14 @@ def test_density_report(capsys):
     obj = json.loads(strip_stamp(out))
     assert obj["n_curves"] > 150
     assert set(obj["predictions"]) == {"SOeven", "O", "SOodd", "Sp", "U"}
+
+
+def test_density_avglog_mode(capsys):
+    status, out = run(capsys, "density", "--family", "F1", "--N", "300",
+                      "--testfn", "fejer:0.25", "--mode", "avglog")
+    assert status == 0
+    assert json.loads(strip_stamp(out))["normalization"] == \
+        "AverageLogConductor"
 
 
 def test_report_determinism_across_threads():

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from lowlying import density
-from lowlying.density import (d1_empirical, d2_empirical, log_conductors,
-                              s_sums, _s_sum_arrays)
+from lowlying.density import (d1_empirical, d2_empirical, densities,
+                              log_conductors, s_sums, _s_sum_arrays)
 from lowlying.family import SignRule, get_family
 from lowlying.testfn import make_fejer
 
@@ -80,6 +81,23 @@ def test_normalization_modes():
     assert abs(a.D1_emp - b.D1_emp) < 0.05  # ...but only slightly
     with pytest.raises(ValueError):
         d1_empirical(f1, 300, g, mode="bogus")
+
+
+def test_average_log_conductor_matches_direct_sums():
+    # every fiber is scaled by the mean log C of the good set; the direct
+    # route sums in another order, so agreement is to rounding, not bits
+    f1 = get_family("F1")
+    g = make_fejer(0.25)
+    sieve, rep, _ = densities(f1, 300, g, mode="AverageLogConductor")
+    assert rep.normalization == "AverageLogConductor"
+    ts = sieve.good_t.tolist()
+    logC, _ = log_conductors(f1, ts)
+    mean = math.fsum(logC) / len(ts)
+    direct = [s_sums(f1, t, g, log_C=mean) for t in ts]
+    for got, k in ((rep.S1_avg, 0), (rep.S2_avg, 1)):
+        want = math.fsum(d[k] for d in direct) / len(ts)
+        assert want != 0.0
+        assert math.isclose(got, want, rel_tol=1e-12), (k, got, want)
 
 
 def test_d2_sign_term():

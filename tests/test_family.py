@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,18 @@ def test_load_family_roundtrip(tmp_path):
     assert fam.specialize(3) == w.specialize(3)
     assert fam.expected_conductor == w.expected_conductor
     assert not fam.abc_flag  # the retired key is ignored
+
+
+@pytest.mark.parametrize("B", [0, -6])
+def test_load_family_rejects_nonpositive_B(tmp_path, B):
+    # with B = 0 every prime "divides B", so the sieve would mark nothing
+    src = Path(__file__).resolve().parents[1] / "perfbench" / "F1-tate.json"
+    cfg = json.loads(src.read_text(encoding="utf-8"))
+    cfg["B"] = B
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ValueError, match="exceptional square B must be >= 1"):
+        load_family(path)
 
 
 @pytest.mark.parametrize("a5", [[0], [7, 1]])

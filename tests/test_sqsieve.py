@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowlying.family import get_family
+from lowlying.modarith import PRIME_LIMIT
 from lowlying.polyint import poly
 from lowlying.sqsieve import (ZeroDensityError, cardinality_constant,
                               enumerate_good, nu)
@@ -151,3 +153,17 @@ def test_singular_fiber_dropped_when_no_prime_is_sieved():
     assert enumerate_good(fam, 5, d_max=2).good_t.tolist() == [5, 6, 8, 9, 10]
     rep = enumerate_good(fam, 5, d_max=2, exact=True)
     assert rep.good_t.tolist() == [5, 6, 8, 9]
+
+
+def test_enumerate_good_refuses_N_beyond_limit(monkeypatch):
+    # refused before the (N + 1)-byte mask, as primes_upto refuses; the
+    # spy fails the test rather than allocate it
+    real_ones = np.ones
+
+    def guarded(shape, *args, **kwargs):
+        assert np.prod(shape) < 10 ** 6, shape
+        return real_ones(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ones", guarded)
+    with pytest.raises(ValueError, match=r"exceeds the limit 10\^9"):
+        enumerate_good(get_family("F1"), PRIME_LIMIT + 1)

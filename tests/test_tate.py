@@ -369,7 +369,7 @@ def test_functional_equation_rejects_target_polynomials(label, divisor):
         assert min(_fe_defects(f, t, N).values()) > 0.05, (label, t, N)
 
 
-# -- conductors of a whole set: one sieve, the family's exponent rule -------
+# -- conductors of a whole set: one sieve, the local exponent rule ---------
 
 F1_TATE = ORACLE_FAMILIES[-1]
 PRESET_NAMES = ["F1", "F2plus", "F2minus", "washington", "rank1", "rank6",
@@ -468,8 +468,12 @@ def test_conductors_match_conductor(name, monkeypatch):
         for p, e in factorize(abs(D.eval(t))).prime_powers.items())]
     assert squares
     if name == F1_TATE:
-        # Tate runs at 2 and 3 and at the squares beyond d_max only
-        assert len(calls) == 2 * len(ts) + len(squares)
+        # c4 = 0 and Tate runs at 2 and 3, and at a p > 3 only where
+        # p^3 | D(t), so v_p(c6(t)) >= 6 and the model may not be minimal
+        cubes = [t for t in ts if any(
+            e >= 3 and p > 3
+            for p, e in factorize(abs(D.eval(t))).prime_powers.items())]
+        assert len(calls) == 2 * len(ts) + len(cubes)
 
 
 def _random_family(rng, k):
@@ -500,16 +504,14 @@ def test_conductors_random_families():
             kinds.add((shared >= 1, shared < D.degree))
         ts = [t for t in range(-25, 60) if f.delta_at(t) != 0]
         assert list(conductors(f, ts)) == [conductor(f, t) for t in ts], f
-        assert tate._rule_modulus(f) != 0
     assert {(False, True), (True, True)} <= kinds, kinds
 
 
-def test_conductors_rule_reads_c4_at_primes_of_disc_D(monkeypatch):
+def test_conductors_minimal_additive_above_3_skips_tate(monkeypatch):
     # 5 divides disc(D) but not 6 content(delta): at v_5(D(t)) = 1 the
-    # exponent comes from c4(t) mod 5, with no Tate run at 5
+    # model is minimal at 5, so f_5 comes from c4(t) and c6(t) alone
     f = FamilyDef("five", poly(2), poly(-2), poly(-3), poly(-5, -2),
                   poly(6, 2))
-    assert tate._rule_modulus(f) == 6
     ts = list(range(-40, 200))
     assert list(conductors(f, ts)) == [conductor(f, t) for t in ts]
     D = f.inv["D"]
@@ -521,12 +523,25 @@ def test_conductors_rule_reads_c4_at_primes_of_disc_D(monkeypatch):
     assert calls.count(5) == len(once)
 
 
+def test_conductors_multiplicative_everywhere_skips_tate(monkeypatch):
+    # a1 = 1, a6 = t: c4 = 1, so every bad prime, 2 and 3 included, is
+    # multiplicative and f_p = 1 with no Tate run
+    f = FamilyDef("c4one", poly(1), poly(), poly(), poly(), poly(0, 1))
+    assert f.inv["c4"] == poly(1)
+    ts = [t for t in range(-200, 400) if f.delta_at(t) != 0]
+    assert len(ts) == 599
+    want = [conductor(f, t) for t in ts]
+    calls = _count_tate_local(monkeypatch)
+    assert list(conductors(f, ts)) == want
+    assert calls == []
+
+
 def test_conductors_nonminimal_family_falls_back_to_tate(monkeypatch):
     # delta = -1728 (t + 1)^12: the fibers are not minimal at the primes of
-    # t + 1, where the rule's f_p = 2 would be wrong (the reduction is good)
+    # t + 1, where v_p(c4) >= 4 and v_p(c6) >= 6 send p to Tate; f_p = 2
+    # would be wrong there (the reduction is good)
     f = FamilyDef("twelve", poly(), poly(), poly(), poly(),
                   poly(1, 1) ** 6 * 2)
-    assert tate._rule_modulus(f) == 0
     ts = [t for t in range(-30, 200) if f.delta_at(t) != 0]
     calls = _count_tate_local(monkeypatch)
     got = list(conductors(f, ts))
