@@ -14,9 +14,22 @@ p takes its exponent from c4(t) and c6(t) by one local rule:
 - p > 3 with v_p(c4(t)) < 4 or v_p(c6(t)) < 6: the model is minimal
   and the reduction additive, tame as p >= 5, so f_p = 2;
 - otherwise (additive reduction at 2 or 3, or a model that may not be
-  minimal at p > 3) `tate_local` decides.
+  minimal at p > 3) `tate_local` decides, once per local key
+  (p, lam(c4(t)), lam(c6(t)), v_p(delta(t))) in each call, with
+  lam(x) = (v_p(x), x / p^v_p(x) mod p^6) and lam(0) = None.
 
 (Silverman, AEC VII.1.1 and VII.5.1; Advanced Topics, IV.10.)
+
+The key is sound because f_p is an invariant of the curve over Q_p, and
+c4, c6 fix the curve.  At p > 3 the valuations alone fix f_p: the model
+is minimal exactly when v(c4) < 4 or v(c6) < 6, each rescaling by p
+lowers (v(c4), v(c6), v(delta)) by (4, 6, 12), and on the minimal model
+f_p is 0, 1 or 2 as v(delta) = 0, v(c4) = 0 or neither.  At 2 and 3,
+f_p also depends on congruences of the unit parts of c4 and c6
+(Papadopoulos, J. Number Theory 44, 1993; Cremona-Sadek, "Local and
+global densities for Weierstrass models of elliptic curves").  On the
+random models of tests/test_tate.py keys first disagree on f_p with the
+unit parts taken mod 2^3 and mod 3, so mod p^6 leaves a margin.
 
 `conductor(f, t)` runs `tate_local` at every bad prime of one fiber
 that `factorize` finds; it is the oracle of `conductors` in the tests.
@@ -415,6 +428,18 @@ def conductor(f: FamilyDef, t: int):
     return C, complete
 
 
+# p-adic digits of the unit parts of c4 and c6 in the local key
+_UNIT_DIGITS = 6
+
+
+def _local_class(x: int, p: int):
+    """(v_p(x), x / p^v_p(x) mod p^6), or None for x = 0."""
+    if x == 0:
+        return None
+    v = _vp(x, p)
+    return v, x // p ** v % p ** _UNIT_DIGITS
+
+
 def conductors(f: FamilyDef, ts):
     """Yield conductor(f, t) for each t of the sequence ts, from one sieve
     of content(delta) D(t); only a chunk of factorizations is held.
@@ -422,19 +447,23 @@ def conductors(f: FamilyDef, ts):
     The factorizations come from `_factor_values` and equal factorize's.
     c4(t) and c6(t) are evaluated once per fiber, and each bad prime
     takes f_p by the module's local rule: 1 if p does not divide c4(t);
-    2 if p > 3 and v_p(c4(t)) < 4 or v_p(c6(t)) < 6; else tate_local on
-    the fiber's model.  A singular fiber raises SingularFiberError, and a
-    cofactor is handled as in `conductor`.
+    2 if p > 3 and v_p(c4(t)) < 4 or v_p(c6(t)) < 6; else the f_p stored
+    under the fiber's local key (p, lam(c4(t)), lam(c6(t)), v_p(delta(t))),
+    with delta(t) = (c4(t)^3 - c6(t)^2) / 1728, or, on the key's first
+    fiber, tate_local on that fiber's model.  Only f_p is stored: the
+    minimal model belongs to one fiber.  A singular fiber raises
+    SingularFiberError, and a cofactor is handled as in `conductor`.
     """
     inv = f.inv
     c4, c6 = inv["c4"], inv["c6"]
+    f_local = {}  # local key -> f_p, for this call's fibers only
     for t, fac in zip(ts, _factor_values(inv["D"], ts,
                                          inv["delta"].content())):
         t = int(t)
         if fac is None:
             f.specialize(t)  # raises SingularFiberError
         c4t, c6t = c4.eval(t), c6.eval(t)
-        ai = None
+        ai = delta = None
         C = 1
         for p in fac.prime_powers:
             if c4t % p:
@@ -442,8 +471,13 @@ def conductors(f: FamilyDef, ts):
             elif p > 3 and (c4t % p ** 4 or c6t % p ** 6):
                 C *= p * p
             else:
-                ai = ai or f.specialize(t)
-                C *= p ** tate_local(ai, p).f_p
+                delta = delta or (c4t ** 3 - c6t ** 2) // 1728
+                key = (p, _local_class(c4t, p), _local_class(c6t, p),
+                       _vp(delta, p))
+                if key not in f_local:
+                    ai = ai or f.specialize(t)
+                    f_local[key] = tate_local(ai, p).f_p
+                C *= p ** f_local[key]
         complete = fac.cofactor == 1
         if not complete:
             C *= fac.cofactor  # assumed square-free, multiplicative reduction

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from conftest import src_env
 from lowlying.density import d1_empirical, d2_empirical
 from lowlying.family import get_family
 from lowlying.modarith import (MomentTable, closed_form_moments,
@@ -243,8 +244,7 @@ def test_criterion_8e_f1_two_level_directional():
 def test_criterion_9_determinism(tmp_path):
     outs = []
     for n in (1, os.cpu_count() or 8):
-        env = dict(os.environ, OMP_NUM_THREADS=str(n),
-                   OPENBLAS_NUM_THREADS=str(n))
+        env = src_env(OMP_NUM_THREADS=str(n), OPENBLAS_NUM_THREADS=str(n))
         p = subprocess.run(
             [sys.executable, "-m", "lowlying.cli", "report",
              "--family", "F1", "--N", "10000", "--testfn", "fejer:0.3"],

@@ -2,10 +2,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from lowlying import density
 from lowlying.cli import main
 from lowlying.family import get_family
@@ -118,20 +118,12 @@ def test_testfn_without_sigma_fails(capsys, spec):
     assert "has no sigma" in captured.err and "'fejer:0.3'" in captured.err
 
 
-def _src_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parents[1] / "src"),
-        env.get("PYTHONPATH")]))
-    return env
-
-
 @pytest.mark.parametrize("X", ["0", "-7"])
 def test_rank_small_X_fails(X):
     p = subprocess.run(
         [sys.executable, "-m", "lowlying.cli", "rank", "--family",
          "washington", "--X", X],
-        capture_output=True, text=True, env=_src_env(), timeout=30)
+        capture_output=True, text=True, env=src_env(), timeout=30)
     assert p.returncode == 2 and p.stdout == ""
     assert "error: X must be at least 2" in p.stderr
     assert "Traceback" not in p.stderr
@@ -159,7 +151,7 @@ def test_density_inadmissible_pair_fails_fast():
     p = subprocess.run(
         [sys.executable, "-m", "lowlying.cli", "density", "--family", "F1",
          "--N", "300", "--testfn", "fejer:0.5", "--testfn2", "fejer:0.5"],
-        capture_output=True, text=True, env=_src_env(), timeout=30)
+        capture_output=True, text=True, env=src_env(), timeout=30)
     assert p.returncode == 2 and p.stdout == ""
     assert "error:" in p.stderr and "sigma1 + sigma2 < 1" in p.stderr
 
@@ -238,8 +230,7 @@ def test_report_determinism_across_threads():
     """Same report bytes with library thread pools at 1 and at every CPU."""
     outs = []
     for n in (1, os.cpu_count() or 8):
-        env = dict(_src_env(), OMP_NUM_THREADS=str(n),
-                   OPENBLAS_NUM_THREADS=str(n))
+        env = src_env(OMP_NUM_THREADS=str(n), OPENBLAS_NUM_THREADS=str(n))
         p = subprocess.run(
             [sys.executable, "-m", "lowlying.cli", "report", "--family", "F1",
              "--N", "200", "--testfn", "fejer:0.25"],
@@ -252,8 +243,7 @@ def test_verify_kernels_determinism_across_threads():
     """Same verify-kernels bytes with thread pools at 1 and at every CPU."""
     outs = []
     for n in (1, os.cpu_count() or 8):
-        env = dict(_src_env(), OMP_NUM_THREADS=str(n),
-                   OPENBLAS_NUM_THREADS=str(n))
+        env = src_env(OMP_NUM_THREADS=str(n), OPENBLAS_NUM_THREADS=str(n))
         p = subprocess.run(
             [sys.executable, "-m", "lowlying.cli", "verify-kernels",
              "--testfn", "fejer:0.9", "--testfn2", "fejer:0.45"],

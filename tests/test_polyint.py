@@ -1,9 +1,7 @@
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import src_env
 from lowlying.family import PRESETS
 from lowlying.polyint import (IntPoly, divexact, gcd, poly, radical,
                               rational_roots, roots_mod, vals_mod)
@@ -238,11 +237,7 @@ def test_preset_invariants_match_sympy():
 
 
 def test_cli_import_leaves_sympy_out():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parents[1] / "src"),
-        env.get("PYTHONPATH")]))
     code = "import lowlying.cli, sys; assert 'sympy' not in sys.modules"
-    p = subprocess.run([sys.executable, "-c", code], env=env,
+    p = subprocess.run([sys.executable, "-c", code], env=src_env(),
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr

@@ -436,6 +436,27 @@ def test_factor_values_incomplete_and_large_content():
                 _sieve_oracle(P, ts, content, budget), (P, content, budget)
 
 
+def _model_key(ai, p):
+    """The key under which `conductors` stores f_p of the model ai at p."""
+    _, _, _, _, c4, c6, delta = _bc_invariants(*ai)
+    return (p, tate._local_class(c4, p), tate._local_class(c6, p),
+            _vp(delta, p))
+
+
+def _tate_keys(f, ts):
+    """The distinct keys of the fibers and primes that `conductors` leaves
+    to Tate: bad p with p | c4(t), and p <= 3 or p^4 | c4(t), p^6 | c6(t)."""
+    content = f.inv["delta"].content()
+    keys = set()
+    for t in ts:
+        ai = f.specialize(t)
+        _, _, _, _, c4, c6, _ = _bc_invariants(*ai)
+        for p in factorize(abs(content * f.inv["D"].eval(t))).prime_powers:
+            if c4 % p == 0 and (p <= 3 or c4 % p ** 4 == c6 % p ** 6 == 0):
+                keys.add(_model_key(ai, p))
+    return keys
+
+
 def _count_tate_local(monkeypatch):
     calls = []
     real = tate.tate_local
@@ -469,11 +490,11 @@ def test_conductors_match_conductor(name, monkeypatch):
     assert squares
     if name == F1_TATE:
         # c4 = 0 and Tate runs at 2 and 3, and at a p > 3 only where
-        # p^3 | D(t), so v_p(c6(t)) >= 6 and the model may not be minimal
-        cubes = [t for t in ts if any(
-            e >= 3 and p > 3
-            for p, e in factorize(abs(D.eval(t))).prime_powers.items())]
-        assert len(calls) == 2 * len(ts) + len(cubes)
+        # p^3 | D(t), so v_p(c6(t)) >= 6 and the model may not be minimal;
+        # once per local key, not once per fiber
+        keys = _tate_keys(f, ts)
+        assert {k[0] for k in keys} == {2, 3, 31}  # D(3310) = 31^3
+        assert len(calls) == len(keys) == 98
 
 
 def _random_family(rng, k):
@@ -544,13 +565,59 @@ def test_conductors_nonminimal_family_falls_back_to_tate(monkeypatch):
                   poly(1, 1) ** 6 * 2)
     ts = [t for t in range(-30, 200) if f.delta_at(t) != 0]
     calls = _count_tate_local(monkeypatch)
-    got = list(conductors(f, ts))
-    assert got == [conductor(f, t) for t in ts]
-    assert all(C % 5 for C, _ in got)  # t = 4, 9, ...: 5 | t + 1, good at 5
+    want = [conductor(f, t) for t in ts]
     content = f.inv["delta"].content()
     n_bad = sum(len(factorize(abs(content * (t + 1))).prime_powers)
                 for t in ts)
-    assert len(calls) == 2 * n_bad  # conductors and conductor alike
+    assert len(calls) == n_bad  # conductor: one Tate run per bad prime
+    calls.clear()
+    got = list(conductors(f, ts))
+    assert got == want
+    assert all(C % 5 for C, _ in got)  # t = 4, 9, ...: 5 | t + 1, good at 5
+    # conductors: one Tate run per local key
+    assert len(calls) == len(_tate_keys(f, ts)) < n_bad
+
+
+# -- the local key of `conductors`' Tate branch -------------------------------
+#
+# conductors stores f_p under (p, lam(c4), lam(c6), v_p(delta)), with
+# lam(x) = (v_p(x), x / p^v_p(x) mod p^6) and lam(0) = None.  At p > 3 the
+# valuations alone fix f_p: y^2 = x^3 - 27 c4 x - 54 c6 is an integral model
+# with the same valuations of c4, c6 and delta (6 is a unit), so a model is
+# minimal exactly when v(c4) < 4 or v(c6) < 6, and rescaling by p lowers the
+# valuations by (4, 6, 12).  On the minimal model f_p is 0 if v(delta) = 0,
+# 1 if v(c4) = 0, and 2 otherwise (additive reduction is tame at p >= 5).
+# That is `_valuation_oracle`, which test_tate_local_matches_valuation_table
+# checks against tate_local.  At p = 2 and 3, f_p also depends on
+# congruences of the unit parts of c4 and c6 (Papadopoulos, J. Number
+# Theory 44, 1993); the test below checks that p^6 is enough precision.
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_local_key_determines_f_p(p):
+    rng = random.Random(1993 + p)
+    f_by_key, models_by_key = {}, {}
+    for _ in range(5000):
+        ai = _random_curve(rng, p)
+        if rng.random() < 0.3:
+            ai = _blow_up(ai, rng.choice((p, p * p, 6)))
+        key = _model_key(ai, p)
+        models = [ai]
+        for _ in range(3):  # a_i + p^K r_i, kept where the key stays
+            K = rng.randint(1, 12)
+            moved = tuple(a + p ** K * rng.randint(-3, 3) for a in ai)
+            if (_bc_invariants(*moved)[6] != 0
+                    and _model_key(moved, p) == key):
+                models.append(moved)
+        for model in models:
+            f_p = tate_local(model, p).f_p
+            assert f_by_key.setdefault(key, f_p) == f_p, (key, model)
+            models_by_key.setdefault(key, set()).add(model)
+    # many keys hold distinct models, with every exponent 0..8 (2) or
+    # 0..5 (3) that a curve can have at p
+    shared = sum(len(models) > 1 for models in models_by_key.values())
+    assert shared > 1000
+    assert set(f_by_key.values()) == set(range(9 if p == 2 else 6))
 
 
 def test_conductors_singular_fiber_raises():
