@@ -76,6 +76,9 @@ CONDITIONALITY_NOTE = (
 # -- subcommands -----------------------------------------------------------
 
 def cmd_moments(args, out):
+    if args.pmax < 5:  # the table starts at p = 5
+        raise ValueError(f"pmax must be at least 5, the first prime above "
+                         f"3, got {args.pmax}")
     f = _family(args)
     rows = []
     tab = MomentTable.build(f, args.pmax)
@@ -296,7 +299,9 @@ def main(argv=None):
             fh.write(buf.getvalue())
         return status
     except (ValueError, KeyError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, in quotes
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

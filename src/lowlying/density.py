@@ -7,7 +7,10 @@ For each good t the explicit formula contributes
   S2(t) = -2 sum_p (log p / log C(t)) p^-2   ghat(2 log p/log C(t)) a_t(p)^2
 
 over primes p > P_MIN = 5, with the prime cutoffs enforced exactly by
-the compact support of ghat.
+the compact support of ghat: S1 ends at C_max^sigma and S2 at
+C_max^(sigma/2), past which ghat(2 log p/log C(t)) is exactly 0.0 for
+every t.  A prime whose a_t(p) row is all zero adds nothing and is
+skipped (`_s_sum_arrays` gives the proof that both skips are exact).
 Averaging over the sieve's good set gives the empirical density; the
 2-level estimator combines the per-curve product with the 1-level run
 on the pointwise product test function and the odd-sign fraction.
@@ -122,29 +125,51 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
     """Vectorized [(S1(t), S2(t)) for g in gs] over all good t.
 
     One prime-major walk fetches each prime's a_t(p) row at most once.
-    Each g keeps its own cutoff C_max^sigma, zero-weight skip and per-t
-    accumulation in prime order, as in a walk made for it alone.
+    Each g keeps its own cutoffs, zero-weight skip and per-t
+    accumulation in prime order, as in a walk made for it alone: S1 runs
+    to C_max^sigma and S2 to C_max^(sigma/2).  Two skips leave every
+    bit as it was:
+
+    - Past the S2 cutoff p >= int(C_max^(sigma/2)) + 2, so
+      log p - (sigma/2) log C_max > log(1 + 1/p), and for every t
+      2 log p / log C(t) exceeds sigma by a relative margin above
+      1/(p log p) >= 5e-11 (p <= 10^9), far above rounding.  Every ghat
+      of `testfn` is exactly 0.0 at |u| >= sigma, so S2's terms there
+      are +-0.0.
+    - A prime whose a_t(p) row is all zero (every p = 2 mod 3 for F1,
+      p = 3 mod 4 for F2+-) adds +-0.0 to every sum; the row is fetched
+      and counted as before, and the prime's other test functions are
+      not evaluated.
+
+    Adding +-0.0 changes no sum: each starts at +0.0 and round to
+    nearest never makes -0.0 from an exact cancellation, so no sum is
+    ever -0.0, and x + (+-0.0) = x for every other x.
     """
     ts = np.asarray(ts, dtype=np.int64)
     log_cmax = float(np.max(logC))
-    pmaxs = [prime_cutoff(log_cmax, g.sigma) for g in gs]
+    pmaxs = [(prime_cutoff(log_cmax, g.sigma),
+              prime_cutoff(log_cmax, g.sigma / 2)) for g in gs]
     sums = [(np.zeros(ts.size), np.zeros(ts.size)) for _ in gs]
-    for p in primes_upto(max(pmaxs)):
+    for p in primes_upto(max(pmax1 for pmax1, _ in pmaxs)):
         if p <= P_MIN:
             continue
         x = math.log(p) / logC
         ap = None
-        for g, pmax, (S1, S2) in zip(gs, pmaxs, sums):
-            if p > pmax:
+        for g, (pmax1, pmax2), (S1, S2) in zip(gs, pmaxs, sums):
+            if p > pmax1:
                 continue
             w1 = g.fhat(x)
-            w2 = g.fhat(2.0 * x)
-            if not (np.any(w1) or np.any(w2)):
+            w2 = g.fhat(2.0 * x) if p <= pmax2 else None
+            if not (np.any(w1) or (w2 is not None and np.any(w2))):
                 continue
             if ap is None:
-                ap = ap_table(f, p)[ts % p].astype(np.float64)
+                ap = ap_table(f, p)[ts % p]
+                if not ap.any():
+                    break
+                ap = ap.astype(np.float64)
             S1 += (-2.0 / p) * x * w1 * ap
-            S2 += (-2.0 / (p * p)) * x * w2 * ap * ap
+            if w2 is not None:
+                S2 += (-2.0 / (p * p)) * x * w2 * ap * ap
     return sums
 
 

@@ -3,10 +3,13 @@ and exact batched moment sums A_{r}(p) = sum over t mod p of a_t(p)^r.
 
 A whole table t -> a_t(p) (`ap_table`) is computed in O(p log p): each
 fiber's short model y^2 = x^3 + A x + B falls in one of three twist
-classes (A = 0, B = 0, AB != 0), and each class is one cyclic
-correlation of a fixed histogram with the Legendre character, done by
-real FFT.  The correlations are integers, and their rounding error is
-asserted below 0.25 before rounding.  `a_p` computes one t directly as
+classes (A = 0, B = 0, AB != 0).  Since a(u^2 A, u^3 B) = chi(u) a(A, B),
+the A = 0 class is fixed by at most three direct character sums (one
+per coset of the cubes) and the B = 0 class by two (one per coset of
+the squares), each scattered over its class in O(p).  The AB != 0 class
+is one cyclic correlation of a fixed histogram with the Legendre
+character, done by real FFT; it is an integer, and its rounding error
+is asserted below 0.25 before rounding.  `a_p` computes one t directly as
 a character sum and `a_p_enumerate` counts points; both stay as
 independent references.  `ap_table`, `a_p` and the moment sums need a
 prime p > 3, where the short model exists.
@@ -166,18 +169,26 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
     """a_t(p) for every residue t mod p, as an int64 array.
 
     For p > 3 every fiber y^2 = x^3 + A x + B (A = -27 c4(t),
-    B = -54 c6(t) mod p) falls in one of three twist classes, and each
-    class is one cyclic correlation with chi, for all residues at once:
+    B = -54 c6(t) mod p) falls in one of three twist classes.  The
+    substitution x -> u x gives a(u^2 A, u^3 B) = chi(u) a(A, B) for
+    every unit u, so each class is filled from a few values:
 
-      A = 0:   a(0,B) = -sum_u H[u] chi(u+B),  H the histogram of x^3;
-      B = 0:   a(A,0) = -sum_v W[v] chi(v+A),  W the chi(x)-weighted
-               histogram of x^2;
+      A = 0:   a(0, r u^3) = chi(u) a(0, r), a(0, 0) = 0; representatives
+               r = 1, c, c^2 (c the least non-cube) when p = 1 mod 3,
+               else r = 1 alone (cubing is a bijection);
+      B = 0:   a(r u^2, 0) = chi(u) a(r, 0); representatives r = 1, n
+               (n the least non-residue).  u and -u agree: when
+               p = 3 mod 4, chi(-1) = -1 and a(r, 0) = 0, as
+               x^3 + r x is odd;
       AB != 0: a(A,B) = chi(AB) a(k,k), k = A^3/B^2 (a quadratic twist
                by A/B), with a(k,k) = -chi(-1) - sum_u h[u] chi(u+k) and
                h the chi(x+1)-weighted histogram of x^3/(x+1), x != -1.
 
-    Each correlation is a real FFT at a power-of-two length >= 2p, so a
-    table costs O(p log p).  The correlations are integers; the rounding
+    Each representative is one direct sum -sum_x chi(x^3 + A x + B),
+    scattered over its class by u in O(p).  The AB != 0 class is one
+    cyclic correlation with chi for all k at once, a real FFT at a
+    power-of-two length >= 2p, so a table costs O(p log p) only when
+    some residue needs it.  The correlation is an integer; its rounding
     error is asserted below 0.25 before rounding, so the table is exact.
     p must be a prime > 3.
     """
@@ -187,33 +198,49 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
     xs = np.arange(p, dtype=np.int64)
     A = (-27 * vals_mod(f.inv["c4"], p, xs)) % p
     B = (-54 * vals_mod(f.inv["c6"], p, xs)) % p
-    n = 1 << (2 * p - 1).bit_length()
-    chi_hat = np.fft.rfft(np.tile(chi.astype(np.float64), 2), n)
-
-    def corr(w):
-        # c[k] = sum_u w[u] chi((u + k) mod p); chi is tiled twice and
-        # u + k < 2p <= n, so the length-n correlation does not wrap.
-        c = np.fft.irfft(np.conj(np.fft.rfft(w, n)) * chi_hat, n)[:p]
-        r = np.rint(c)
-        assert np.max(np.abs(c - r)) < 0.25, "FFT rounding error too large"
-        return r.astype(np.int64)
-
     x2 = xs * xs % p
     x3 = x2 * xs % p
     out = np.empty(p, dtype=np.int64)
     a0 = A == 0
     b0 = (B == 0) & ~a0
     gen = ~(a0 | b0)
+
+    def scatter(powers, reps):
+        # tab[r u^k] = chi(u) a_r over the units u, from powers = u^k for
+        # u = 1..p-1 and the pairs (r, a_r); tab[0] = 0
+        tab = np.zeros(p, dtype=np.int64)
+        units = chi[1:].astype(np.int64)
+        for r, a in reps:
+            tab[r * powers % p] = a * units
+        return tab
+
     if a0.any():
-        out[a0] = -corr(np.bincount(x3, minlength=p))[B[a0]]
+        reps = [1]
+        if p % 3 == 1:
+            c = next(a for a in range(2, p) if pow(a, (p - 1) // 3, p) != 1)
+            reps += [c, c * c % p]
+        out[a0] = scatter(x3[1:], [
+            (r, -int(chi[(x3 + r) % p].sum(dtype=np.int64))) for r in reps
+        ])[B[a0]]
     if b0.any():
-        out[b0] = -corr(np.bincount(x2, weights=chi, minlength=p))[A[b0]]
+        n = int(np.argmax(chi == -1))
+        out[b0] = scatter(x2[1:], [
+            (r, -int(chi[(x3 + r * xs) % p].sum(dtype=np.int64)))
+            for r in (1, n)
+        ])[A[b0]]
     if gen.any():
+        size = 1 << (2 * p - 1).bit_length()
         inv = _inverses(p)
         s = xs[:-1] + 1  # x + 1 for x != -1
         h = np.bincount(x3[:-1] * inv[s] % p, weights=chi[s],
                         minlength=p)
-        akk = -int(chi[p - 1]) - corr(h)
+        # c[k] = sum_u h[u] chi((u + k) mod p); chi is tiled twice and
+        # u + k < 2p <= size, so the length-size correlation does not wrap
+        chi_hat = np.fft.rfft(np.tile(chi.astype(np.float64), 2), size)
+        c = np.fft.irfft(np.conj(np.fft.rfft(h, size)) * chi_hat, size)[:p]
+        r = np.rint(c)
+        assert np.max(np.abs(c - r)) < 0.25, "FFT rounding error too large"
+        akk = -int(chi[p - 1]) - r.astype(np.int64)
         Ag, Bg = A[gen], B[gen]
         k = Ag * Ag % p * Ag % p * (inv[Bg] ** 2 % p) % p
         out[gen] = chi[Ag * Bg % p] * akk[k]

@@ -92,8 +92,21 @@ def test_predict_negative_rank_fails(capsys, extra):
 
 
 def test_unknown_family_fails(capsys):
-    status, _ = run(capsys, "moments", "--family", "nope", "--pmax", "20")
-    assert status == 2
+    status = main(["moments", "--family", "nope", "--pmax", "20"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == (
+        "error: unknown family 'nope'; presets: ['F1', 'F2minus', "
+        "'F2plus', 'rank1', 'rank6', 'washington']\n")
+
+
+@pytest.mark.parametrize("pmax", ["4", "-1"])
+def test_moments_small_pmax_fails(capsys, pmax):
+    status = main(["moments", "--family", "washington", "--pmax", pmax])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert "error: pmax must be at least 5" in captured.err
+    assert f"got {pmax}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

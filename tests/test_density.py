@@ -8,7 +8,8 @@ from lowlying import density
 from lowlying.density import (d1_empirical, d2_empirical, densities,
                               log_conductors, s_sums, _s_sum_arrays)
 from lowlying.family import SignRule, get_family
-from lowlying.testfn import make_fejer
+from lowlying.modarith import ap_table, prime_cutoff, primes_upto
+from lowlying.testfn import make_fejer, make_smooth_bump, product_fn
 
 
 def test_s_sums_dual_route():
@@ -20,6 +21,63 @@ def test_s_sums_dual_route():
         direct = s_sums(f1, t, g, log_C=float(logC[0]))
         assert abs(arr[0][0] - direct[0]) < 1e-12
         assert abs(arr[1][0] - direct[1]) < 1e-12
+
+
+def _reference_walk(f, ts, gs, logC):
+    """Every prime up to each g's C_max^sigma, both terms, no skip; and
+    the primes where some g has a nonzero weight at some t."""
+    ts = np.asarray(ts, dtype=np.int64)
+    log_cmax = float(np.max(logC))
+    sums, weighted = [], set()
+    for g in gs:
+        S1, S2 = np.zeros(ts.size), np.zeros(ts.size)
+        for p in primes_upto(prime_cutoff(log_cmax, g.sigma)):
+            if p <= density.P_MIN:
+                continue
+            x = math.log(p) / logC
+            w1, w2 = g.fhat(x), g.fhat(2.0 * x)
+            if np.any(w1) or np.any(w2):
+                weighted.add(p)
+            ap = ap_table(f, p)[ts % p].astype(np.float64)
+            S1 += (-2.0 / p) * x * w1 * ap
+            S2 += (-2.0 / (p * p)) * x * w2 * ap * ap
+        sums.append((S1, S2))
+    return sums, weighted
+
+
+@pytest.mark.parametrize("name", ["F1", "F2plus", "washington"])
+@pytest.mark.parametrize("specs", [
+    ("fejer", 0.4), ("smoothbump", 0.4),
+    ("fejer", 0.25, "smoothbump", 0.15),
+])
+def test_walk_skips_are_exact(monkeypatch, name, specs):
+    # the S2 cut past C_max^(sigma/2) and the all-zero-row skip leave
+    # every bit of every sum, and fetch the same a_t(p) rows
+    make = {"fejer": make_fejer, "smoothbump": make_smooth_bump}
+    gs = tuple(make[k](s) for k, s in zip(specs[::2], specs[1::2]))
+    if len(gs) == 2:
+        gs += (product_fn(*gs),)
+    f = get_family(name)
+    ts = np.arange(100, 250)
+    logC, _ = log_conductors(f, ts)
+    want, weighted = _reference_walk(f, ts, gs, logC)
+    fetched = []
+
+    def counting(f, p):
+        fetched.append(p)
+        return ap_table(f, p)
+
+    monkeypatch.setattr(density, "ap_table", counting)
+    got = _s_sum_arrays(f, ts, gs, logC)
+    assert fetched == sorted(weighted)
+    for (S1, S2), (R1, R2) in zip(got, want):
+        assert np.array_equal(S1, R1) and np.array_equal(S2, R2)
+    # both skips ran: rows past some S2 cutoff, and all-zero rows for
+    # the one-class families
+    cut2 = min(prime_cutoff(float(np.max(logC)), g.sigma / 2) for g in gs)
+    assert fetched[-1] > cut2
+    zero = [not ap_table(f, p)[ts % p].any() for p in fetched]
+    assert any(zero) == (name != "washington")
 
 
 def test_s_sums_empty_prime_range():

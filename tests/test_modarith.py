@@ -79,19 +79,30 @@ def test_ap_needs_p_above_3():
 
 def test_ap_table_matches_pointwise():
     # F1 has A = 0 at every t, F2plus/F2minus B = 0 (and A = B = 0 at one
-    # t), washington/rank1/rank6 mostly AB != 0: every twist class is hit
-    for name in ("F1", "F2plus", "F2minus", "washington", "rank1", "rank6"):
-        f = get_family(name)
-        for p in (5, 7, 13, 29, 1009):
+    # t), washington/rank1/rank6 mostly AB != 0: every twist class is hit.
+    # y^2 = x^3 + t and y^2 = x^3 + t x put every residue t != 0 in the
+    # A = 0 (B = 0) class, so each coset of the cubes (squares) is hit.
+    # The primes below 400 cover every p mod 24: the A = 0 rule runs with
+    # one and with three cube cosets, the B = 0 rule at p = 1 and 3 mod 4.
+    fams = [get_family(name) for name in
+            ("F1", "F2plus", "F2minus", "washington", "rank1", "rank6")]
+    fams += [load_family(F1_TATE),
+             FamilyDef("x^3+t", IntPoly(), IntPoly(), IntPoly(), IntPoly(),
+                       IntPoly([0, 1])),
+             FamilyDef("x^3+tx", IntPoly(), IntPoly(), IntPoly(),
+                       IntPoly([0, 1]), IntPoly())]
+    primes = [p for p in primes_upto(400) if p >= 5] + [1009]
+    for f in fams:
+        for p in primes:
             tab = ap_table(f, p)
             assert tab.dtype == np.int64
             chi = chi_table(p)
             for t in range(p):
-                assert int(tab[t]) == a_p(f, t, p, chi=chi), (name, p, t)
+                assert int(tab[t]) == a_p(f, t, p, chi=chi), (f.label, p, t)
         p = 100003
         tab = ap_table(f, p)
         for t in range(0, p, p // 20):
-            assert int(tab[t]) == a_p(f, t, p), (name, p, t)
+            assert int(tab[t]) == a_p(f, t, p), (f.label, p, t)
 
 
 def test_hasse_bound():
