@@ -133,7 +133,7 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
     - Past the S2 cutoff p >= int(C_max^(sigma/2)) + 2, so
       log p - (sigma/2) log C_max > log(1 + 1/p), and for every t
       2 log p / log C(t) exceeds sigma by a relative margin above
-      1/(p log p) >= 5e-11 (p <= 10^9), far above rounding.  Every ghat
+      1/(p log p) > 4e-11 (p <= 10^9), far above rounding.  Every ghat
       of `testfn` is exactly 0.0 at |u| >= sigma, so S2's terms there
       are +-0.0.
     - A prime whose a_t(p) row is all zero (every p = 2 mod 3 for F1,

@@ -4,9 +4,10 @@ and exact batched moment sums A_{r}(p) = sum over t mod p of a_t(p)^r.
 A whole table t -> a_t(p) (`ap_table`) is computed in O(p log p): each
 fiber's short model y^2 = x^3 + A x + B falls in one of three twist
 classes (A = 0, B = 0, AB != 0).  Since a(u^2 A, u^3 B) = chi(u) a(A, B),
-the A = 0 class is fixed by at most three direct character sums (one
-per coset of the cubes) and the B = 0 class by two (one per coset of
-the squares), each scattered over its class in O(p).  The AB != 0 class
+the A = 0 class is fixed by three direct character sums (one per
+coset of the cubes) when p = 1 mod 3 and is 0 otherwise, and the B = 0
+class by two (one per coset of the squares) when p = 1 mod 4 and is 0
+otherwise; each is scattered over its class in O(p).  The AB != 0 class
 is one cyclic correlation of a fixed histogram with the Legendre
 character, done by real FFT; it is an integer, and its rounding error
 is asserted below 0.25 before rounding.  `a_p` computes one t directly as
@@ -173,13 +174,15 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
     substitution x -> u x gives a(u^2 A, u^3 B) = chi(u) a(A, B) for
     every unit u, so each class is filled from a few values:
 
-      A = 0:   a(0, r u^3) = chi(u) a(0, r), a(0, 0) = 0; representatives
-               r = 1, c, c^2 (c the least non-cube) when p = 1 mod 3,
-               else r = 1 alone (cubing is a bijection);
+      A = 0:   a(0, r u^3) = chi(u) a(0, r); representatives r = 1, c,
+               c^2 (c the least non-cube) when p = 1 mod 3.  When
+               p = 2 mod 3 cubing is a bijection, so the class is 0:
+               a(0, 1) = -sum_x chi(x^3 + 1) = -sum_y chi(y + 1) = 0;
       B = 0:   a(r u^2, 0) = chi(u) a(r, 0); representatives r = 1, n
-               (n the least non-residue).  u and -u agree: when
-               p = 3 mod 4, chi(-1) = -1 and a(r, 0) = 0, as
-               x^3 + r x is odd;
+               (n the least non-residue) when p = 1 mod 4, where
+               chi(-1) = 1, so u and -u agree.  When p = 3 mod 4 the
+               class is 0: x^3 + A x is odd and chi(-1) = -1;
+      A = B = 0: a(0, 0) = -sum_x chi(x) = 0;
       AB != 0: a(A,B) = chi(AB) a(k,k), k = A^3/B^2 (a quadratic twist
                by A/B), with a(k,k) = -chi(-1) - sum_u h[u] chi(u+k) and
                h the chi(x+1)-weighted histogram of x^3/(x+1), x != -1.
@@ -200,29 +203,27 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
     B = (-54 * vals_mod(f.inv["c6"], p, xs)) % p
     x2 = xs * xs % p
     x3 = x2 * xs % p
-    out = np.empty(p, dtype=np.int64)
-    a0 = A == 0
-    b0 = (B == 0) & ~a0
-    gen = ~(a0 | b0)
+    out = np.zeros(p, dtype=np.int64)  # where a class is 0, as above
+    a0 = (A == 0) & (B != 0)
+    b0 = (B == 0) & (A != 0)
+    gen = (A != 0) & (B != 0)
 
     def scatter(powers, reps):
         # tab[r u^k] = chi(u) a_r over the units u, from powers = u^k for
-        # u = 1..p-1 and the pairs (r, a_r); tab[0] = 0
+        # u = 1..p-1 and the pairs (r, a_r)
         tab = np.zeros(p, dtype=np.int64)
         units = chi[1:].astype(np.int64)
         for r, a in reps:
             tab[r * powers % p] = a * units
         return tab
 
-    if a0.any():
-        reps = [1]
-        if p % 3 == 1:
-            c = next(a for a in range(2, p) if pow(a, (p - 1) // 3, p) != 1)
-            reps += [c, c * c % p]
+    if p % 3 == 1 and a0.any():
+        c = next(a for a in range(2, p) if pow(a, (p - 1) // 3, p) != 1)
         out[a0] = scatter(x3[1:], [
-            (r, -int(chi[(x3 + r) % p].sum(dtype=np.int64))) for r in reps
+            (r, -int(chi[(x3 + r) % p].sum(dtype=np.int64)))
+            for r in (1, c, c * c % p)
         ])[B[a0]]
-    if b0.any():
+    if p % 4 == 1 and b0.any():
         n = int(np.argmax(chi == -1))
         out[b0] = scatter(x2[1:], [
             (r, -int(chi[(x3 + r * xs) % p].sum(dtype=np.int64)))

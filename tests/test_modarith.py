@@ -82,8 +82,8 @@ def test_ap_table_matches_pointwise():
     # t), washington/rank1/rank6 mostly AB != 0: every twist class is hit.
     # y^2 = x^3 + t and y^2 = x^3 + t x put every residue t != 0 in the
     # A = 0 (B = 0) class, so each coset of the cubes (squares) is hit.
-    # The primes below 400 cover every p mod 24: the A = 0 rule runs with
-    # one and with three cube cosets, the B = 0 rule at p = 1 and 3 mod 4.
+    # The primes below 400 cover every p mod 24, so each class is hit at
+    # primes where it has representatives and at primes where it is 0.
     fams = [get_family(name) for name in
             ("F1", "F2plus", "F2minus", "washington", "rank1", "rank6")]
     fams += [load_family(F1_TATE),
