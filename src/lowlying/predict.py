@@ -1,15 +1,15 @@
 """Random-matrix predicted densities and their quadrature cross-checks.
 
-Both levels are tables {group: value} over GROUPS.  One-level densities
-are computed on the transform side: the delta mass contributes fhat(0),
-the group term is a closed form in the cached functionals, and the
-family's r zeros at the central point contribute r*f(0).  Two-level
-densities are closed forms in the same functionals, computed once per
-table; the orthogonal flavors differ only in the coefficient c(G) of
-g1(0)g2(0).  kernel_crosscheck recomputes all five groups of either
-level from the x-side sine-kernel determinants by quadrature, which
-validates the hat-side closed forms independently; its predictions come
-first, so an inadmissible pair fails before any quadrature.
+Both levels are tables {group: value} over GROUPS, computed on the
+transform side from the exact piecewise-polynomial fhat of `testfn`:
+the delta mass contributes fhat(0), the group term int_box1 (1-level)
+or the pair functionals (2-level, once per table), and the family's r
+central zeros r*f(0).  The orthogonal 2-level flavors differ only in
+the coefficient c(G) of g1(0)g2(0).  kernel_crosscheck recomputes every
+group of either level from the x-side sine-kernel determinants by
+quadrature, which validates the hat side independently; its
+predictions come first, so an inadmissible pair fails before any
+quadrature.
 
 Kernel: K(y) = sin(pi y)/(pi y); K_eps(x, y) = K(x-y) + eps*K(x+y).
 """
@@ -33,15 +33,10 @@ def predict_d1(g: TestFn, r: int = 0) -> dict:
     """{group: ghat(0) + group term + r*g(0)} over GROUPS."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    box = g.int_box1  # integral of ghat over [-1, 1]
-    term = {
-        "SOeven": 0.5 * box,
-        "O": 0.5 * g.f0,
-        "SOodd": -0.5 * box + g.f0,
-        "Sp": -0.5 * box,
-        "U": 0.0,
-    }
-    return {grp: g.fhat0 + term[grp] + r * g.f0 for grp in GROUPS}
+    box, f0 = g.int_box1, g.f0  # box = integral of ghat over [-1, 1]
+    term = {"SOeven": 0.5 * box, "O": 0.5 * f0, "SOodd": -0.5 * box + f0,
+            "Sp": -0.5 * box, "U": 0.0}
+    return {grp: g.fhat0 + term[grp] + r * f0 for grp in GROUPS}
 
 
 def predict_d2(g1: TestFn, g2: TestFn, r: int = 0) -> dict:
@@ -61,17 +56,14 @@ def predict_d2(g1: TestFn, g2: TestFn, r: int = 0) -> dict:
     if g1.sigma + g2.sigma >= 1.0:
         raise ValueError("2-level prediction needs sigma1 + sigma2 < 1")
     fun = functionals(g1, g2)
-    rank = ((r * r - r) * g1.f0 * g2.f0
-            + r * g1.fhat0 * g2.f0 + r * g1.f0 * g2.fhat0)
+    f1, f2, h1, h2 = g1.f0, g2.f0, g1.fhat0, g2.fhat0
+    rank = (r * r - r) * f1 * f2 + r * h1 * f2 + r * f1 * h2
     out = {}
     for group, c in C_OF_GROUP.items():
-        base = ((g1.fhat0 + 0.5 * g1.f0) * (g2.fhat0 + 0.5 * g2.f0)
-                + 2.0 * fun["I_abs"] - 2.0 * fun["P0"] - g1.f0 * g2.f0
-                + c * g1.f0 * g2.f0)
-        out[group] = base + rank
-    out["Sp"] = (out["Sp"] - g1.f0 * g2.fhat0 - g1.fhat0 * g2.f0
-                 + 2.0 * g1.f0 * g2.f0)
-    out["U"] = g1.fhat0 * g2.fhat0 + fun["I_abs"] - fun["P0"] + rank
+        out[group] = ((h1 + 0.5 * f1) * (h2 + 0.5 * f2) + 2.0 * fun["I_abs"]
+                      - 2.0 * fun["P0"] - f1 * f2 + c * f1 * f2) + rank
+    out["Sp"] = out["Sp"] - f1 * h2 - h1 * f2 + 2.0 * f1 * f2
+    out["U"] = h1 * h2 + fun["I_abs"] - fun["P0"] + rank
     return out
 
 
@@ -178,10 +170,12 @@ def primesum_check(C_N: int, g: TestFn, a: int = 1, m: int = 1, b: int = 0):
 
     value = (1/log C_N) sum_{p = b mod m} (log p / p) ghat(a log p / log C_N)
     over the primes the transform support admits (p <= C_N^(sigma/a)).
-    Returns (value, target, gap).  A cutoff above 10^9 raises ValueError.
+    Returns (value, target, gap).  C_N < 10^3, a < 1, m < 1 and a cutoff
+    above 10^9 raise ValueError.
     """
-    if C_N < 1000:
-        raise ValueError("C_N must be at least 10^3")
+    if C_N < 1000 or a < 1 or m < 1:
+        raise ValueError(f"need C_N >= 10^3, a >= 1 and m >= 1, got "
+                         f"C_N = {C_N}, a = {a}, m = {m}")
     logC = math.log(C_N)
     pmax = prime_cutoff(logC, g.sigma / a)
     ps = np.asarray(primes_upto(pmax), dtype=np.int64)

@@ -122,13 +122,16 @@ def test_nonfinite_sigma_fails(capsys, argv):
     assert "error: sigma must be finite and positive" in captured.err
 
 
-@pytest.mark.parametrize("spec", ["fejer", "fejer:"])
+@pytest.mark.parametrize("spec", ["fejer", "fejer:", "fejer:abc",
+                                  "fejer:0.3:1"])
 def test_testfn_without_sigma_fails(capsys, spec):
     status = main(["density", "--family", "F1", "--N", "50", "--testfn",
                    spec])
     captured = capsys.readouterr()
     assert status == 2 and captured.out == ""
-    assert "has no sigma" in captured.err and "'fejer:0.3'" in captured.err
+    assert f"error: test function {spec!r} has " in captured.err
+    assert ("has no sigma" in captured.err) == (spec.partition(":")[2] == "")
+    assert "kind:sigma, e.g. 'fejer:0.3'" in captured.err
 
 
 @pytest.mark.parametrize("X", ["0", "-7"])

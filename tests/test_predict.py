@@ -205,3 +205,11 @@ def test_int_f_K2_small_footprint():
     finally:
         tracemalloc.stop()
     assert peak < 2e6, peak
+
+
+@pytest.mark.parametrize("a, m", [(0, 1), (-1, 1), (1, 0), (1, -3)])
+def test_primesum_rejects_a_or_m_below_one(a, m):
+    # a = 0 and m <= 0 once raised ZeroDivisionError, and a = -1 returned
+    # a meaningless (0.0, -0.15, 0.15)
+    with pytest.raises(ValueError, match="a >= 1 and m >= 1"):
+        primesum_check(10 ** 4, make_fejer(0.3), a=a, m=m)

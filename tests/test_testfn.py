@@ -1,11 +1,20 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import src_env
 from lowlying.testfn import (functionals, make_fejer, make_smooth_bump,
                              make_testfn, pairwise_sum, panel_grid,
                              product_fn, quad_panels)
+
+MAKERS = {"fejer": make_fejer, "smoothbump": make_smooth_bump}
+# (kind1, sigma1, kind2, sigma2): every kind pair, both mixed orders
+KIND_PAIRS = [("fejer", 0.3, "fejer", 0.2), ("smoothbump", 0.2,
+              "smoothbump", 0.35), ("fejer", 0.3, "smoothbump", 0.2),
+              ("smoothbump", 0.2, "fejer", 0.3)]
 
 
 def test_fejer_basics():
@@ -46,11 +55,42 @@ def test_parse():
     assert g.kind == "smoothbump"
 
 
-@pytest.mark.parametrize("spec", ["fejer", "fejer:", "smoothbump: "])
+@pytest.mark.parametrize("spec", ["fejer", "fejer:", "smoothbump: ",
+                                  "fejer:abc", "fejer:0.3:1"])
 def test_parse_requires_sigma(spec):
-    # a missing sigma once meant sigma = 1.0, a run far slower than intended
-    with pytest.raises(ValueError, match="'fejer:0.3'"):
+    # a missing sigma once meant sigma = 1.0, a run far slower than intended;
+    # a non-numeric one once failed with float()'s bare message
+    with pytest.raises(ValueError, match="kind:sigma, e.g. 'fejer:0.3'") as e:
         make_testfn(spec)
+    assert repr(spec) in str(e.value)
+
+
+def test_fejer_piece_is_the_closed_form_bit_for_bit():
+    # the one piece -w + 1, w = |u|/sigma, is max(0, 1 - |u|/sigma) to the
+    # bit, and its integral is sigma exactly
+    us = np.linspace(-1.2, 1.2, 4801)
+    for sigma in np.linspace(0.001, 2.0, 2006):
+        f = make_fejer(sigma)
+        want = np.maximum(0.0, 1.0 - np.abs(us) / sigma)
+        assert np.array_equal(f.fhat(us), want), sigma
+        assert f.f0 == sigma and f.fhat0 == 1.0, sigma
+        if sigma <= 1.0:
+            assert f.int_box1 == sigma
+        else:  # the triangle cut at |u| = 1
+            assert abs(f.int_box1 - (2.0 - 1.0 / sigma)) < 1e-15, sigma
+
+
+def test_import_and_parse_load_no_numpy_polynomial():
+    # the transforms are plain numpy (np.convolve, Horner): a run that
+    # only parses its test function loads no numpy.polynomial
+    code = ("import sys; import lowlying.cli; "
+            "from lowlying.testfn import make_testfn; "
+            "make_testfn('fejer:0.3'); make_testfn('smoothbump:1.5'); "
+            "print('numpy.polynomial' in sys.modules)")
+    p = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"
 
 
 def test_compact_support():
@@ -131,7 +171,7 @@ def test_product_fn():
     # convolution vs direct transform quadrature
     for uu in (0.1, 0.35, 0.7):
         assert abs(float(g.fhat(uu)) - _direct_ghat(f, f, uu)) < 1e-6
-    # unequal Fejer pairs: the same closed form
+    # unequal Fejer pairs
     for s1, s2, us in ((0.15, 0.1, (0.0, 0.03, 0.12, 0.2)),
                        (0.3, 0.2, (0.0, 0.1, 0.25, 0.4))):
         f1, f2 = make_fejer(s1), make_fejer(s2)
@@ -143,21 +183,70 @@ def test_product_fn():
 
 
 def test_product_fn_mixed_kinds():
-    f = make_fejer(0.3)
-    b = make_smooth_bump(0.2)
-    g = product_fn(f, b)
-    assert abs(g.fhat0 - functionals(f, b)["P0"]) < 1e-10
-    assert abs(float(g.fhat(0.0)) - g.fhat0) < 1e-10
-    assert float(g.fhat(0.6)) == 0.0
-    # the batched convolution vs one scalar quadrature per u
-    us = np.array([-0.45, -0.2, 0.0, 0.05, 0.17, 0.3, 0.49])
-    for f1, f2 in ((b, make_smooth_bump(0.35)), (f, b), (b, f)):
-        got = product_fn(f1, f2).fhat(us)
-        for u, val in zip(us, got):
-            bp = [-f1.sigma, 0.0, f1.sigma, u - f2.sigma, u, u + f2.sigma]
+    for k1, s1, k2, s2 in KIND_PAIRS:
+        f1, f2 = MAKERS[k1](s1), MAKERS[k2](s2)
+        g = product_fn(f1, f2)
+        assert g.sigma == s1 + s2
+        assert abs(g.fhat0 - functionals(f1, f2)["P0"]) < 1e-15
+        # the exact convolution vs one scalar quadrature per u: on a grid,
+        # on every kink and 5e-4 to either side of it, where a misplaced
+        # break would put the wrong formula
+        kinks = np.array([0.0, s1, s2, abs(s1 - s2), s1 + s2])
+        us = np.concatenate([np.linspace(-(s1 + s2), s1 + s2, 61), kinks,
+                             kinks - 5e-4, kinks + 5e-4, -kinks - 5e-4])
+        for u, val in zip(us, g.fhat(us)):
+            bp = [-s1, 0.0, s1, u - s2, u, u + s2]
             ref = quad_panels(lambda v: f1.fhat(v) * f2.fhat(u - v), bp,
                               order=16)
-            assert abs(val - ref) < 1e-14, (f1.kind, f2.kind, u)
+            assert abs(val - ref) < 1e-14, (k1, k2, u)
+
+
+@pytest.mark.parametrize("k1, s1, k2, s2", KIND_PAIRS + [
+    ("fejer", 0.45, "smoothbump", 0.001), ("smoothbump", 0.3, "fejer", 0.15),
+    ("fejer", 0.6, "fejer", 0.6)])
+def test_product_fhat_is_zero_past_its_support(k1, s1, k2, s2):
+    # the prime walk's S2 cut needs ghat == 0.0 exactly at |u| >= sigma
+    g = product_fn(MAKERS[k1](s1), MAKERS[k2](s2))
+    S = s1 + s2
+    u = np.array([S, -S, np.nextafter(S, 2.0), 1.5 * S, 10.0])
+    assert np.all(g.fhat(u) == 0.0) and float(g.fhat(S)) == 0.0
+
+
+def _hat_quad(fn, breaks, lo, hi):
+    """quad_panels of fn over [lo, hi], split at +-breaks inside it."""
+    bp = [lo, hi] + [x for b in breaks for x in (b, -b) if lo < x < hi]
+    return quad_panels(fn, bp, order=16)
+
+
+@pytest.mark.parametrize("k1, s1, k2, s2", KIND_PAIRS + [
+    ("fejer", 0.9, "smoothbump", 1.3), ("smoothbump", 1.7, "smoothbump",
+                                        0.45)])
+def test_functionals_match_quadrature(k1, s1, k2, s2):
+    f1, f2 = MAKERS[k1](s1), MAKERS[k2](s2)
+    fun = functionals(f1, f2)
+    s, bk = min(s1, s2), [s1, s2, 0.0]
+    P0 = _hat_quad(lambda u: f1.fhat(u) * f2.fhat(u), bk, -s, s)
+    I_abs = _hat_quad(lambda u: np.abs(u) * f1.fhat(u) * f2.fhat(u),
+                      bk, -s, s)
+    assert abs(fun["P0"] - P0) < 1e-14 and abs(fun["I_abs"] - I_abs) < 1e-14
+
+
+@pytest.mark.parametrize("spec", ["fejer:0.45", "smoothbump:0.45",
+                                  "fejer:1.7", "smoothbump:1.7",
+                                  "smoothbump:0.6*fejer:0.7",
+                                  "fejer:0.3*smoothbump:0.2"])
+def test_int_box1_and_f0_match_quadrature(spec):
+    # sigma <= 1 and sigma > 1, catalogue and product: f0 = int fhat and
+    # int_box1 = int of fhat over [-1, 1]
+    g = None
+    for part in spec.split("*"):
+        f = make_testfn(part)
+        g = f if g is None else product_fn(g, f)
+    br = g.fhat.breaks
+    assert abs(g.f0 - _hat_quad(g.fhat, br, -g.sigma, g.sigma)) < 1e-14
+    assert abs(g.int_box1 - _hat_quad(g.fhat, br, -1.0, 1.0)) < 1e-14
+    if g.sigma <= 1.0:
+        assert g.int_box1 == g.f0
 
 
 def test_pairwise_sum():
