@@ -4,24 +4,27 @@ and exact batched moment sums A_{r}(p) = sum over t mod p of a_t(p)^r.
 A whole table t -> a_t(p) (`ap_table`) is computed in O(p log p): each
 fiber's short model y^2 = x^3 + A x + B falls in one of three twist
 classes (A = 0, B = 0, AB != 0).  Since a(u^2 A, u^3 B) = chi(u) a(A, B),
-the A = 0 class is fixed by three direct character sums (one per
-coset of the cubes) when p = 1 mod 3 and is 0 otherwise, and the B = 0
-class by two (one per coset of the squares) when p = 1 mod 4 and is 0
-otherwise; each is scattered over its class in O(p).  The AB != 0 class
-is one cyclic correlation of a fixed histogram with the Legendre
-character, done by real FFT; it is an integer, and its rounding error
-is asserted below 0.25 before rounding.  `a_p` computes one t directly as
-a character sum and `a_p_enumerate` counts points; both stay as
-independent references.  `ap_table`, `a_p` and the moment sums need a
-prime p > 3, where the short model exists.
+the two CM classes are one loop over k: the A = 0 class (k = 3) is fixed
+by one direct character sum per coset of the cubes when p = 1 mod 3, the
+B = 0 class (k = 2) by one per coset of the squares when p = 1 mod 4,
+and each is scattered over its class in O(p); otherwise the class is 0
+and costs no sum.  The AB != 0 class is one cyclic correlation of a
+fixed histogram with the Legendre character, done by real FFT; it is an
+integer, and its rounding error is asserted below 0.25 before rounding.
+`a_p` computes one t directly as a character sum and `a_p_enumerate`
+counts points; both stay as independent references.  `ap_table`, `a_p`
+and the moment sums need a prime p > 3, where the short model exists.
 
 A_1 needs no table when g(x, t) = 4x^3 + b2 x^2 + 2 b4 x + b6 has
 t-degree <= 2: swapping the sums over x and t leaves a closed form plus
 a sum over the roots mod p of the x-discriminant of g (`_a1_fast`).
 Its rational roots a/b are found once per family and reduced mod p in
 O(1) per prime; only a cofactor with no rational root, if any, is
-scanned over x mod p.  `moment_sum(..., method="bruteforce")` sums the
-per-t `a_p` as its oracle.
+scanned over x mod p.  One per-prime step gives `moment_sum` and
+`MomentTable.build` their A_1 and A_2: `_a1_fast` when only A_1 is
+wanted and it applies, else both from one `ap_table` in int64.
+`moment_sum(..., method="bruteforce")` sums the per-t `a_p` as its
+oracle.
 """
 
 from __future__ import annotations
@@ -103,13 +106,6 @@ def _chi(a: int, p: int) -> int:
     return -1 if e == p - 1 else e
 
 
-def cube_residue_indicator(a: int, p: int) -> int:
-    """1 iff a is a nonzero cube mod p, for p = 1 mod 3."""
-    if p % 3 != 1 or not is_prime(p):
-        raise ValueError("p must be a prime congruent to 1 mod 3")
-    return 1 if pow(a % p, (p - 1) // 3, p) == 1 else 0
-
-
 def chi_table(p: int) -> np.ndarray:
     """Legendre symbols (0..p-1 | p) as an int8 array."""
     chi = np.full(p, -1, dtype=np.int8)
@@ -174,61 +170,57 @@ def ap_table(f: FamilyDef, p: int) -> np.ndarray:
     substitution x -> u x gives a(u^2 A, u^3 B) = chi(u) a(A, B) for
     every unit u, so each class is filled from a few values:
 
-      A = 0:   a(0, r u^3) = chi(u) a(0, r); representatives r = 1, c,
-               c^2 (c the least non-cube) when p = 1 mod 3.  When
+      A = 0:   a(0, r u^3) = chi(u) a(0, r); when p = 1 mod 3 the class
+               is fixed by the cosets of the cubes, k = 3.  When
                p = 2 mod 3 cubing is a bijection, so the class is 0:
                a(0, 1) = -sum_x chi(x^3 + 1) = -sum_y chi(y + 1) = 0;
-      B = 0:   a(r u^2, 0) = chi(u) a(r, 0); representatives r = 1, n
-               (n the least non-residue) when p = 1 mod 4, where
-               chi(-1) = 1, so u and -u agree.  When p = 3 mod 4 the
-               class is 0: x^3 + A x is odd and chi(-1) = -1;
+      B = 0:   a(r u^2, 0) = chi(u) a(r, 0); when p = 1 mod 4, where
+               chi(-1) = 1, so u and -u agree, the class is fixed by the
+               cosets of the squares, k = 2.  When p = 3 mod 4 the class
+               is 0: x^3 + A x is odd and chi(-1) = -1;
       A = B = 0: a(0, 0) = -sum_x chi(x) = 0;
       AB != 0: a(A,B) = chi(AB) a(k,k), k = A^3/B^2 (a quadratic twist
                by A/B), with a(k,k) = -chi(-1) - sum_u h[u] chi(u+k) and
                h the chi(x+1)-weighted histogram of x^3/(x+1), x != -1.
 
-    Each representative is one direct sum -sum_x chi(x^3 + A x + B),
-    scattered over its class by u in O(p).  The AB != 0 class is one
-    cyclic correlation with chi for all k at once, a real FFT at a
-    power-of-two length >= 2p, so a table costs O(p log p) only when
-    some residue needs it.  The correlation is an integer; its rounding
-    error is asserted below 0.25 before rounding, so the table is exact.
-    p must be a prime > 3.
+    The two CM classes are one loop over k: the representatives are
+    r = c^j, j < k, with c the least non-k-th power; each is one direct
+    sum -sum_x chi(x^3 + r x^(3-k)), scattered to r u^k over the units u
+    in O(p).  chi and x^3 are built only when some class at p is not 0.
+    The AB != 0 class is one cyclic correlation with chi for all k at
+    once, a real FFT at a power-of-two length >= 2p, so a table costs
+    O(p log p) only when some residue needs it.  The correlation is an
+    integer; its rounding error is asserted below 0.25 before rounding,
+    so the table is exact.  Every power is reduced mod p after each
+    product, so no int64 product exceeds p^2.  p must be a prime > 3.
     """
     if p <= 3:
         raise ValueError(f"a_t(p) needs a prime p > 3, got {p}")
-    chi = chi_table(p)
     xs = np.arange(p, dtype=np.int64)
     A = (-27 * vals_mod(f.inv["c4"], p, xs)) % p
     B = (-54 * vals_mod(f.inv["c6"], p, xs)) % p
-    x2 = xs * xs % p
-    x3 = x2 * xs % p
     out = np.zeros(p, dtype=np.int64)  # where a class is 0, as above
-    a0 = (A == 0) & (B != 0)
-    b0 = (B == 0) & (A != 0)
-    gen = (A != 0) & (B != 0)
-
-    def scatter(powers, reps):
-        # tab[r u^k] = chi(u) a_r over the units u, from powers = u^k for
-        # u = 1..p-1 and the pairs (r, a_r)
+    a0, b0 = A == 0, B == 0
+    gen = ~(a0 | b0)
+    # (k, class, its coordinate r u^k): A = 0 by cubes, B = 0 by squares,
+    # each not 0 only at p = 1 mod 2k (for odd p, 1 mod 6 is 1 mod 3)
+    cm = [(k, cls, key) for k, cls, key in ((3, a0 & ~b0, B), (2, b0 & ~a0, A))
+          if p % (2 * k) == 1 and cls.any()]
+    if not cm and not gen.any():
+        return out
+    chi = chi_table(p)
+    x3 = xs * xs % p * xs % p
+    units = chi[1:].astype(np.int64)
+    for k, cls, key in cm:
+        c = next(a for a in range(2, p) if pow(a, (p - 1) // k, p) != 1)
+        # the model x^3 + r m at representative r, and u^k over the units u
+        m, uk = (1, x3[1:]) if k == 3 else (xs, xs[1:] * xs[1:] % p)
         tab = np.zeros(p, dtype=np.int64)
-        units = chi[1:].astype(np.int64)
-        for r, a in reps:
-            tab[r * powers % p] = a * units
-        return tab
-
-    if p % 3 == 1 and a0.any():
-        c = next(a for a in range(2, p) if pow(a, (p - 1) // 3, p) != 1)
-        out[a0] = scatter(x3[1:], [
-            (r, -int(chi[(x3 + r) % p].sum(dtype=np.int64)))
-            for r in (1, c, c * c % p)
-        ])[B[a0]]
-    if p % 4 == 1 and b0.any():
-        n = int(np.argmax(chi == -1))
-        out[b0] = scatter(x2[1:], [
-            (r, -int(chi[(x3 + r * xs) % p].sum(dtype=np.int64)))
-            for r in (1, n)
-        ])[A[b0]]
+        for j in range(k):
+            r = pow(c, j, p)
+            a_r = -int(chi[(x3 + r * m) % p].sum(dtype=np.int64))
+            tab[r * uk % p] = a_r * units
+        out[cls] = tab[key[cls]]
     if gen.any():
         size = 1 << (2 * p - 1).bit_length()
         inv = _inverses(p)
@@ -314,11 +306,30 @@ def _a1_fast(polys, p: int) -> int:
     return total
 
 
+def _moments(f: FamilyDef, p: int, polys, second: bool):
+    """(A_1(p), A_2(p) or None unless second) for a prime p > 3.
+
+    A_1 comes from `_a1_fast` when polys (`_a1_polys(f)`) is not None
+    and A_2 is not wanted; otherwise both are summed from one `ap_table`,
+    exactly in int64, since p * 4p < 2^63 for p <= 10^9.
+    """
+    if polys is not None and not second:
+        a1, a2 = _a1_fast(polys, p), None
+    else:
+        tab = ap_table(f, p)
+        a1 = int(tab.sum())
+        a2 = int((tab * tab).sum()) if second else None
+    assert abs(a1) <= p * (isqrt(4 * p) + 1)  # p summands, |a_t| <= 2 sqrt p
+    assert a2 is None or 0 <= a2 <= p * 4 * p
+    return a1, a2
+
+
 def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto") -> int:
     """Exact A_r(p) = sum over t mod p of a_t(p)^r, for p > 3, r in {1,2}.
 
-    Method "auto" takes A_1 from `_a1_fast` when g(x, t) has t-degree
-    <= 2.
+    Method "auto" is the per-prime step of `MomentTable.build`: A_1 from
+    `_a1_fast` when g(x, t) has t-degree <= 2, else from one `ap_table`.
+    Method "bruteforce" sums the per-t `a_p`, as the oracle.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("moment sums need a prime p > 3")
@@ -329,11 +340,7 @@ def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto") -> int:
     if method == "bruteforce":
         chi = chi_table(p)
         return sum(a_p(f, t, p, chi=chi) ** r for t in range(p))
-    if r == 1:
-        polys = _a1_polys(f)
-        if polys is not None:
-            return _a1_fast(polys, p)
-    return int((ap_table(f, p) ** r).sum(dtype=object))
+    return _moments(f, p, _a1_polys(f) if r == 1 else None, r == 2)[r - 1]
 
 
 # -- tables and closed forms -----------------------------------------------
@@ -342,32 +349,15 @@ def moment_sum(f: FamilyDef, p: int, r: int, method: str = "auto") -> int:
 class MomentTable:
     """Per-prime exact first and second moment sums for one family."""
 
-    label: str
-    p_max: int
     entries: dict = field(default_factory=dict)  # p -> (A1, A2)
 
     @classmethod
     def build(cls, f: FamilyDef, p_max: int, second: bool = True):
-        tab = cls(label=f.label, p_max=p_max)
+        """(A1, A2) at every prime 3 < p <= p_max; A2 is None unless
+        second, and A1 alone needs no table when `_a1_polys` applies."""
         polys = None if second else _a1_polys(f)
-        for p in primes_upto(p_max):
-            if p <= 3:
-                continue
-            if polys is not None:
-                a1, a2 = _a1_fast(polys, p), None
-            else:
-                # A2, or A1 past t-degree 2, needs the table; A1 and A2
-                # are summed from the same one, exactly in int64 since
-                # p * 4p < 2^63 for p <= 10^9
-                tab_p = ap_table(f, p)
-                a1 = int(tab_p.sum())
-                a2 = int((tab_p * tab_p).sum()) if second else None
-            bound = p * (isqrt(4 * p) + 1)  # p summands, each |a_t| <= 2 sqrt p
-            assert abs(a1) <= bound
-            if a2 is not None:
-                assert 0 <= a2 <= p * 4 * p
-            tab.entries[p] = (a1, a2)
-        return tab
+        return cls({p: _moments(f, p, polys, second)
+                    for p in primes_upto(p_max) if p > 3})
 
     def nagao_sum(self, X: int) -> float:
         """Rosen-Silverman rank statistic -(1/X) sum_{p<=X} (A1(p)/p) log p."""
@@ -401,10 +391,7 @@ def closed_form_moments(label: str, p: int):
         # the -3p*h_{3,p}(2) term counts cube roots of 2: three when
         # p = 1 mod 3 and 2 is a cubic residue, none when it is not,
         # and exactly one when p = 2 mod 3 (cubing is a bijection)
-        if p % 3 == 1:
-            nroots = 3 * cube_residue_indicator(2, p)
-        else:
-            nroots = 1
+        nroots = 3 * (pow(2, (p - 1) // 3, p) == 1) if p % 3 == 1 else 1
         chi = chi_table(p).astype(np.int64)
         xs = np.arange(p, dtype=np.int64)
         s = int(chi[(4 * (xs * xs % p * xs) + 1) % p].sum(dtype=np.int64))

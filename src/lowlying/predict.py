@@ -69,11 +69,7 @@ def predict_d2(g1: TestFn, g2: TestFn, r: int = 0) -> dict:
 
 # -- x-side kernels and quadrature cross-checks ----------------------------
 
-def _K(y):
-    y = np.asarray(y, dtype=np.float64)
-    a = np.pi * y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(a == 0.0, 1.0, np.sin(a) / np.where(a == 0.0, 1.0, a))
+_K = np.sinc  # sin(pi y)/(pi y), 1.0 at y = 0
 
 
 def w1_ac(x) -> dict:

@@ -225,6 +225,9 @@ def _trial_primes():
 # cap on Brent's doubling cycle length: at most ~2^14 steps per seed
 _BRENT_MAX_R = 1 << 12
 
+# rho seeds tried per composite before it is left as the cofactor
+_RHO_SEEDS = 64
+
 
 def _brent(n: int, seed: int = 1) -> int:
     """Brent's cycle variant of Pollard rho; returns a nontrivial factor
@@ -258,20 +261,20 @@ def _brent(n: int, seed: int = 1) -> int:
     return g
 
 
-def factorize(n: int, budget: int = 64) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Trial division by the primes below 10^4, then Pollard rho / Brent.
 
     A composite remainder goes to the prime test, then perfect-power
-    detection, then rho.  budget caps the number of rho seeds per
+    detection, then rho.  _RHO_SEEDS caps the number of rho seeds per
     composite, and _BRENT_MAX_R = 2^12 caps each seed's cycle length, so
     a hard composite costs about a second (two 30-digit primes: 0.8 s on
     a 2-CPU x86 host).  One seed splits off a prime factor below ~10^6
     almost always and one near 10^7 about two times in three.  With the
     default 64 seeds, p * q with a 21-digit q was split for 10 of 10
     primes p in [10^8, 10^9] and 6 of 10 in [10^9, 10^10].  A surviving
-    cofactor is reported as incomplete data, not an error.  With budget=0
-    every composite remainder stays as the cofactor, however small its
-    prime factors above 10^4.
+    cofactor is reported as incomplete data, not an error.  With
+    _RHO_SEEDS = 0 every composite remainder stays as the cofactor,
+    however small its prime factors above 10^4.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -283,15 +286,15 @@ def factorize(n: int, budget: int = 64) -> Factorization:
         while n % p == 0:
             powers[p] = powers.get(p, 0) + 1
             n //= p
-    return Factorization(orig, powers, _split_remainder(n, powers, budget))
+    return Factorization(orig, powers, _split_remainder(n, powers))
 
 
-def _split_remainder(n: int, powers: dict, budget: int) -> int:
+def _split_remainder(n: int, powers: dict) -> int:
     """factorize's stage after trial division; returns the cofactor.
 
     n is 1, a prime, or has no prime factor below 10^4.  Its prime
     factors are added to powers; a composite that rho cannot split
-    within budget seeds multiplies into the returned cofactor.
+    within _RHO_SEEDS seeds multiplies into the returned cofactor.
     """
     def record(p, e=1):
         powers[p] = powers.get(p, 0) + e
@@ -316,7 +319,7 @@ def _split_remainder(n: int, powers: dict, budget: int) -> int:
                 stack.extend([root] * k)
                 break
         else:
-            for seed in range(1, budget + 1):
+            for seed in range(1, _RHO_SEEDS + 1):
                 d = _brent(m, seed)
                 if 1 < d < m:
                     stack.extend((d, m // d))
@@ -330,7 +333,7 @@ def _split_remainder(n: int, powers: dict, budget: int) -> int:
 _CHUNK = 1024
 
 
-def _factor_values(P: IntPoly, ts, content: int = 1, budget: int = 64):
+def _factor_values(P: IntPoly, ts, content: int = 1):
     """Yield factorize(|content * P(t)|) for each t of the sequence ts in
     order, or None where P(t) = 0, from one sieve instead of a trial loop
     per t.
@@ -388,7 +391,7 @@ def _factor_values(P: IntPoly, ts, content: int = 1, budget: int = 64):
                 pw[v] = pw.get(v, 0) + 1
                 v = 1
             yield Factorization(abs(content * val), pw,
-                                _split_remainder(c_rest * v, pw, budget))
+                                _split_remainder(c_rest * v, pw))
 
 
 def _iroot(n: int, k: int) -> int:

@@ -36,8 +36,8 @@ def _leggauss(order):
 
 def panel_grid(breakpoints, order):
     """Gauss-Legendre nodes and weights (x, w) on every panel between the
-    breakpoints, which are sorted and lose their repeats first."""
-    bp = np.unique(np.asarray(breakpoints, dtype=np.float64))
+    breakpoints, which must be strictly increasing."""
+    bp = np.asarray(breakpoints, dtype=np.float64)
     nodes, weights = _leggauss(order)
     lo, hi = bp[:-1, None], bp[1:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -51,19 +51,19 @@ _QUAD_BLOCK = 4096
 def quad_panels(fn, breakpoints, order=24):
     """Composite Gauss-Legendre over the panels between the breakpoints.
 
-    fn is called on the nodes of about _QUAD_BLOCK // order panels at a
-    time, and one math.fsum takes every block's terms; fsum is correctly
-    rounded, so the sum does not depend on the blocks or the panel order.
+    The breakpoints are sorted and lose their repeats first (the first of
+    each run is kept, and -0.0 merges with 0.0).  fn is called on the
+    nodes of about _QUAD_BLOCK // order panels at a time, and one
+    math.fsum takes every block's terms; fsum is correctly rounded, so
+    the sum does not depend on the blocks or the panel order.
     """
-    bp = np.unique(np.asarray(breakpoints, dtype=np.float64))
+    bp = np.sort(np.asarray(breakpoints, dtype=np.float64))
+    bp = bp[np.concatenate(([True], bp[1:] != bp[:-1]))]
     step = max(1, _QUAD_BLOCK // order)
-
-    def terms():
-        for i in range(0, bp.size - 1, step):
-            x, w = panel_grid(bp[i:i + step + 1], order)
-            yield from fn(x) * w
-
-    return math.fsum(terms())
+    grids = (panel_grid(bp[i:i + step + 1], order)
+             for i in range(0, bp.size - 1, step))
+    return math.fsum(itertools.chain.from_iterable(
+        (fn(x) * w).tolist() for x, w in grids))
 
 
 def pairwise_sum(a):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from lowlying import modarith
 from lowlying.family import FamilyDef, get_family, load_family
 from lowlying.modarith import (MomentTable, a_p, a_p_enumerate, ap_table,
-                               chi_table, closed_form_moments,
-                               cube_residue_indicator, is_prime, legendre,
-                               moment_sum, nagao_estimate, primes_upto)
+                               chi_table, closed_form_moments, is_prime,
+                               legendre, moment_sum, nagao_estimate,
+                               primes_upto)
 from lowlying.polyint import IntPoly
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23]
@@ -105,6 +105,50 @@ def test_ap_table_matches_pointwise():
             assert int(tab[t]) == a_p(f, t, p), (f.label, p, t)
 
 
+def test_ap_table_twists_above_2_21():
+    # p = 2097169 > 2^21 and p = 1 mod 12: both CM classes have
+    # representatives, and u^3 for u near p overflows int64 unless each
+    # product is reduced mod p
+    p = 2097169
+    assert is_prime(p) and p % 12 == 1 and p > 2 ** 21
+    chi = chi_table(p)
+    ts = np.arange(p, dtype=np.int64)
+    for f, k in ((FamilyDef("x^3+t", IntPoly(), IntPoly(), IntPoly(),
+                            IntPoly(), IntPoly([0, 1])), 3),
+                 (FamilyDef("x^3+tx", IntPoly(), IntPoly(), IntPoly(),
+                            IntPoly([0, 1]), IntPoly()), 2)):
+        tab = ap_table(f, p)
+        for u in (2, 3, 5):
+            assert np.array_equal(tab[u ** k * ts % p], int(chi[u]) * tab), \
+                (f.label, u)
+        for t in random.Random(p).sample(range(p), 20):
+            assert int(tab[t]) == a_p(f, t, p, chi=chi), (f.label, t)
+
+
+def test_ap_table_zero_cm_class_builds_no_chi(monkeypatch):
+    # F1 is all A = 0 (and F2plus all B = 0) but for A = B = 0 at t = 0;
+    # at p = 2 mod 3 (p = 3 mod 4) that class is 0, so no character
+    # table is built
+    calls = []
+    real = modarith.chi_table
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(modarith, "chi_table", counting)
+    cases = (("F1", 3, 2), ("F2plus", 4, 3))
+    for name, m, zero in cases:
+        f = get_family(name)
+        for p in [q for q in primes_upto(2000) if q > 3 and q % m == zero]:
+            assert not ap_table(f, p).any(), (name, p)
+    assert calls == []
+    for name, m, zero in cases:
+        p = next(q for q in primes_upto(100) if q > 3 and q % m != zero)
+        ap_table(get_family(name), p)
+        assert calls[-1] == p  # the counter sees a class that is not 0
+
+
 def test_hasse_bound():
     f = get_family("rank1")
     for p in (11, 31, 101):
@@ -114,13 +158,21 @@ def test_hasse_bound():
 
 def test_moment_methods_agree():
     fams = [get_family(name) for name in
-            ("F1", "F2plus", "F2minus", "washington", "rank1")]
+            ("F1", "F2plus", "F2minus", "washington", "rank1", "rank6")]
     fams.append(load_family(F1_TATE))
+    primes = [p for p in primes_upto(59) if p >= 5]
     for f in fams:
-        for p in (7, 13, 19):
+        for p in primes:
             for r in (1, 2):
                 assert moment_sum(f, p, r, method="auto") == \
-                    moment_sum(f, p, r, method="bruteforce")
+                    moment_sum(f, p, r, method="bruteforce"), (f.label, p, r)
+        for second in (False, True):
+            tab = MomentTable.build(f, 60, second)
+            assert sorted(tab.entries) == primes
+            for p, (a1, a2) in tab.entries.items():
+                assert a1 == moment_sum(f, p, 1), (f.label, p)
+                assert a2 == (moment_sum(f, p, 2) if second else None), \
+                    (f.label, p)
 
 
 def test_moment_methods_unknown_raises():
@@ -139,11 +191,6 @@ def test_closed_form_moments_small():
             assert moment_sum(f, p, 1) == cf1, (name, p)
             if cf2 is not None:
                 assert moment_sum(f, p, 2) == cf2, (name, p)
-
-
-def test_cube_residue_indicator():
-    assert cube_residue_indicator(2, 31) == (1 if pow(2, 10, 31) == 1 else 0)
-    assert cube_residue_indicator(8, 7) == 1
 
 
 def test_moment_table_and_nagao():

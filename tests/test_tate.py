@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 import time
@@ -139,16 +138,17 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
-def test_factorize_complete_moderate():
+def test_factorize_complete_moderate(monkeypatch):
     fac = factorize(2 ** 10 * 3 ** 4 * 1009 * 99991)
     assert fac.cofactor == 1
     assert fac.prime_powers == {2: 10, 3: 4, 1009: 1, 99991: 1}
     # q^2 r with primes q, r in (10^4, 10^6): no trial prime divides it,
-    # so rho splits it; with budget=0 it stays whole as the cofactor
+    # so rho splits it; with no rho seeds it stays whole as the cofactor
     q, r = 10007, 999983
     fac = factorize(q * q * r)
     assert fac.cofactor == 1 and fac.prime_powers == {q: 2, r: 1}
-    assert factorize(q * q * r, budget=0).cofactor == q * q * r
+    monkeypatch.setattr(tate, "_RHO_SEEDS", 0)
+    assert factorize(q * q * r).cofactor == q * q * r
 
 
 def test_factorize_hard_semiprime_stays_whole():
@@ -165,7 +165,7 @@ def test_factorize_hard_semiprime_stays_whole():
 
 def test_conductor_incomplete_with_default_budget():
     # 9t + 1 = q1 q2 with 20-digit primes q1, q2 = 1 mod 9: the default
-    # budget gives up on them and conductor reports incomplete data
+    # _RHO_SEEDS give up on them and conductor reports incomplete data
     q1, q2 = (next(q for q in range(start, start + 10 ** 4, 18) if is_prime(q))
               for start in (10 ** 19 + 9, 3 * 10 ** 19 + 7))
     assert q1 % 9 == q2 % 9 == 1
@@ -247,7 +247,7 @@ def test_conductor_matches_delta_route(name):
 
 
 def test_conductor_incomplete_multiplies_cofactor_once(monkeypatch):
-    # 9t + 1 = q1 q2 with primes q1, q2 > 10^6 that budget=0 cannot split.
+    # 9t + 1 = q1 q2 with primes q1, q2 > 10^6 that no rho seed splits.
     # F1's delta(t) = 2^12 3^9 (9t+1)^4, so the cofactor is left once, as the
     # documented rule says, and not as (q1 q2)^4.  (On F1 the rule's
     # multiplicative assumption is false: c4 = 0 and the true exponent is 2.)
@@ -258,8 +258,7 @@ def test_conductor_incomplete_multiplies_cofactor_once(monkeypatch):
     f1 = get_family("F1")
     t = (n - 1) // 9
     assert f1.inv["D"].eval(t) == n
-    monkeypatch.setattr(tate, "factorize",
-                        functools.partial(factorize, budget=0))
+    monkeypatch.setattr(tate, "_RHO_SEEDS", 0)
     C, complete = conductor(f1, t)
     assert not complete
     assert C % n == 0 and math.gcd(C // n, n) == 1
@@ -381,15 +380,15 @@ def _family(name):
 
 
 def _hard_f1_fiber():
-    """t with 9t + 1 = q1 q2, 20-digit primes the default budget cannot
-    split, and t beyond int64."""
+    """t with 9t + 1 = q1 q2, 20-digit primes the default _RHO_SEEDS
+    cannot split, and t beyond int64."""
     q1, q2 = (next(q for q in range(start, start + 10 ** 4, 18) if is_prime(q))
               for start in (10 ** 19 + 9, 3 * 10 ** 19 + 7))
     return (q1 * q2 - 1) // 9
 
 
-def _sieve_oracle(P, ts, content=1, budget=64):
-    return [factorize(abs(content * P.eval(t)), budget) if P.eval(t) else None
+def _sieve_oracle(P, ts, content=1):
+    return [factorize(abs(content * P.eval(t))) if P.eval(t) else None
             for t in ts]
 
 
@@ -412,7 +411,7 @@ def test_factor_values_match_factorize(name):
         assert sum(fac.cofactor != 1 for fac in got) == 2
 
 
-def test_factor_values_incomplete_and_large_content():
+def test_factor_values_incomplete_and_large_content(monkeypatch):
     # the hard semiprime of test_conductor_incomplete_with_default_budget,
     # with t beyond int64 next to small and negative t
     f1 = get_family("F1")
@@ -423,17 +422,18 @@ def test_factor_values_incomplete_and_large_content():
     assert got[1].cofactor == 9 * t + 1 and got[3].cofactor == 1
     # content with primes above 10^4 (one a 10^8-ish composite rho splits),
     # values below 10^4 whose sieve bound stops short of 10^4, zeros,
-    # and a polynomial with content 6 (every t hits p = 2, 3); budget=0
-    # leaves every composite remainder whole, so a prime below 10^4 must
+    # and a polynomial with content 6 (every t hits p = 2, 3); with no
+    # rho seeds every composite remainder stays whole, so a prime below 10^4 must
     # be taken out of it as factorize's trial loop does
     q = 10007 * 10009
     ts = list(range(-60, 200))
     for P, content in ((poly(0, 1), q), (poly(0, 1), 10007 ** 2 * 12),
                        (poly(5, 0, 1), q), (poly(6, 12), 1),
                        (poly(-36, 0, 1), 5 * q)):
-        for budget in (64, 0):
-            assert list(tate._factor_values(P, ts, content, budget)) == \
-                _sieve_oracle(P, ts, content, budget), (P, content, budget)
+        for seeds in (64, 0):
+            monkeypatch.setattr(tate, "_RHO_SEEDS", seeds)
+            assert list(tate._factor_values(P, ts, content)) == \
+                _sieve_oracle(P, ts, content), (P, content, seeds)
 
 
 def _model_key(ai, p):

@@ -93,6 +93,22 @@ def test_import_and_parse_load_no_numpy_polynomial():
     assert p.stdout.strip() == "False"
 
 
+def test_verify_kernels_loads_no_numpy_ma():
+    # quad_panels drops repeated breakpoints by a sort and a neighbour
+    # compare, not np.unique, whose first call imports numpy.ma
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from lowlying import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify-kernels', '--testfn', 'fejer:0.9',",
+        "                     '--testfn2', 'fejer:0.45'])",
+        "print(code, 'numpy.ma' in sys.modules)"])
+    p = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "0 False"
+
+
 def test_compact_support():
     for tf in (make_fejer(0.45), make_smooth_bump(0.45)):
         u = np.array([0.4501, 0.6, 1.0, -2.0])
