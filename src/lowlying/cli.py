@@ -298,7 +298,7 @@ def main(argv=None):
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
         return status
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, in quotes
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

@@ -10,7 +10,8 @@ over primes p > P_MIN = 5, with the prime cutoffs enforced exactly by
 the compact support of ghat: S1 ends at C_max^sigma and S2 at
 C_max^(sigma/2), past which ghat(2 log p/log C(t)) is exactly 0.0 for
 every t.  A prime whose a_t(p) row is all zero adds nothing and is
-skipped (`_s_sum_arrays` gives the proof that both skips are exact).
+skipped (`_s_sum_arrays` gives the proof that both skips are exact, and
+that a zero weight needs no skip of its own).
 Averaging over the sieve's good set gives the empirical density; the
 2-level estimator combines the per-curve product with the 1-level run
 on the pointwise product test function and the odd-sign fraction.
@@ -95,16 +96,15 @@ def log_conductors(f: FamilyDef, ts):
     return out, incomplete
 
 
-def s_sums(f: FamilyDef, t: int, g: TestFn,
-           log_C: float | None = None) -> tuple:
-    """Direct per-curve prime sums (S1, S2); the simple reference route.
+def s_sums(f: FamilyDef, t: int, g: TestFn, log_C: float) -> tuple:
+    """Direct per-curve prime sums (S1, S2) at log C(t) = log_C; the
+    simple reference route.
 
     Each a_t(p) is the per-t character sum `a_p`, independent of the
-    `ap_table` path that `_s_sum_arrays` uses.
+    `ap_table` path that `_s_sum_arrays` uses.  Every prime up to
+    int(C(t)^sigma) + 1 adds both terms; a zero weight adds +-0.0, which
+    changes no sum (see `_s_sum_arrays`).
     """
-    if log_C is None:
-        log_C, _ = log_conductors(f, [t])
-        log_C = float(log_C[0])
     pmax = prime_cutoff(log_C, g.sigma)
     S1 = S2 = 0.0
     for p in primes_upto(pmax):
@@ -113,8 +113,6 @@ def s_sums(f: FamilyDef, t: int, g: TestFn,
         x = math.log(p) / log_C
         w1 = float(g.fhat(x))
         w2 = float(g.fhat(2.0 * x))
-        if w1 == 0.0 and w2 == 0.0:
-            continue
         ap = a_p(f, t, p)
         S1 += -2.0 * x * w1 * ap / p
         S2 += -2.0 * x * w2 * ap * ap / (p * p)
@@ -124,11 +122,11 @@ def s_sums(f: FamilyDef, t: int, g: TestFn,
 def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
     """Vectorized [(S1(t), S2(t)) for g in gs] over all good t.
 
-    One prime-major walk fetches each prime's a_t(p) row at most once.
-    Each g keeps its own cutoffs, zero-weight skip and per-t
+    One prime-major walk fetches the a_t(p) row of every prime in
+    (P_MIN, max S1 cutoff] once.  Each g keeps its own cutoffs and per-t
     accumulation in prime order, as in a walk made for it alone: S1 runs
-    to C_max^sigma and S2 to C_max^(sigma/2).  Two skips leave every
-    bit as it was:
+    to C_max^sigma and S2 to C_max^(sigma/2).  Two skips leave every bit
+    as it was:
 
     - Past the S2 cutoff p >= int(C_max^(sigma/2)) + 2, so
       log p - (sigma/2) log C_max > log(1 + 1/p), and for every t
@@ -138,12 +136,15 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
       are +-0.0.
     - A prime whose a_t(p) row is all zero (every p = 2 mod 3 for F1,
       p = 3 mod 4 for F2+-) adds +-0.0 to every sum; the row is fetched
-      and counted as before, and the prime's other test functions are
-      not evaluated.
+      and no test function is evaluated at the prime.
 
     Adding +-0.0 changes no sum: each starts at +0.0 and round to
     nearest never makes -0.0 from an exact cancellation, so no sum is
-    ever -0.0, and x + (+-0.0) = x for every other x.
+    ever -0.0, and x + (+-0.0) = x for every other x.  So a prime needs
+    no skip where a weight is zero: every ghat is > 0 inside its support
+    and exactly 0.0 outside it, so below the S1 cutoff the fiber of
+    largest log C has a nonzero weight, and only the cutoff's last
+    prime, at most int(C_max^sigma) + 1, can add +-0.0 everywhere.
     """
     ts = np.asarray(ts, dtype=np.int64)
     log_cmax = float(np.max(logC))
@@ -153,23 +154,17 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
     for p in primes_upto(max(pmax1 for pmax1, _ in pmaxs)):
         if p <= P_MIN:
             continue
+        ap = ap_table(f, p)[ts % p]
+        if not ap.any():
+            continue
+        ap = ap.astype(np.float64)
         x = math.log(p) / logC
-        ap = None
         for g, (pmax1, pmax2), (S1, S2) in zip(gs, pmaxs, sums):
             if p > pmax1:
                 continue
-            w1 = g.fhat(x)
-            w2 = g.fhat(2.0 * x) if p <= pmax2 else None
-            if not (np.any(w1) or (w2 is not None and np.any(w2))):
-                continue
-            if ap is None:
-                ap = ap_table(f, p)[ts % p]
-                if not ap.any():
-                    break
-                ap = ap.astype(np.float64)
-            S1 += (-2.0 / p) * x * w1 * ap
-            if w2 is not None:
-                S2 += (-2.0 / (p * p)) * x * w2 * ap * ap
+            S1 += (-2.0 / p) * x * g.fhat(x) * ap
+            if p <= pmax2:
+                S2 += (-2.0 / (p * p)) * x * g.fhat(2.0 * x) * ap * ap
     return sums
 
 
@@ -184,14 +179,14 @@ def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
       avg_t prod_i [ghat_i(0)+g_i(0)+S_{i,1}+S_{i,2}]
         - 2 * D1(g1*g2) + g1(0)g2(0) * N(F,-1).
 
-    An unknown mode or an inadmissible pair (sigma1 + sigma2 >= 1)
-    raises before any work.
+    An unknown mode raises before any work, and so does an inadmissible
+    pair (sigma1 + sigma2 >= 1): the predictions are computed first, and
+    `predict_d2` refuses it.
     """
     if mode not in ("PerCurve", "AverageLogConductor"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    if g2 is not None and g1.sigma + g2.sigma >= 1.0:
-        raise ValueError("2-level density needs sigma1 + sigma2 < 1, got "
-                         f"{g1.sigma} + {g2.sigma}")
+    preds1 = predict_d1(g1, f.rank)
+    preds2 = None if g2 is None else predict_d2(g1, g2, f.rank)
     sieve = enumerate_good(f, N)
     ts = sieve.good_t
     if ts.size == 0:
@@ -207,10 +202,9 @@ def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
     shared = dict(family=f.label, N=N, normalization=mode, p_min=P_MIN,
                   n_curves=int(ts.size), D1_emp=D1, S1_avg=s1, S2_avg=s2,
                   abc_flag=f.abc_flag, incomplete_conductors=incomplete)
-    preds = predict_d1(g1, f.rank)
     rep1 = DensityReport(
-        testfns=((g1.kind, g1.sigma),), predictions=preds,
-        residuals={grp: abs(D1 - v) for grp, v in preds.items()}, **shared)
+        testfns=((g1.kind, g1.sigma),), predictions=preds1,
+        residuals={grp: abs(D1 - v) for grp, v in preds1.items()}, **shared)
     if g2 is None:
         return sieve, rep1, None
     (S21, S22), (P1, P2) = sums[1:]
@@ -220,11 +214,10 @@ def densities(f: FamilyDef, N: int, g1: TestFn, g2: TestFn | None = None,
     d1_prod = gs[2].fhat0 + gs[2].f0 + _mean(P1) + _mean(P2)
     n_minus_value = float(family_n_minus(f, [int(t) for t in ts[:200]]))
     D2 = avg_prod - 2.0 * d1_prod + g1.f0 * g2.f0 * n_minus_value
-    preds = predict_d2(g1, g2, f.rank)
     rep2 = DensityReport(
         testfns=((g1.kind, g1.sigma), (g2.kind, g2.sigma)),
-        D2_emp=D2, n_minus_used=n_minus_value, predictions=preds,
-        residuals={grp: abs(D2 - v) for grp, v in preds.items()}, **shared)
+        D2_emp=D2, n_minus_used=n_minus_value, predictions=preds2,
+        residuals={grp: abs(D2 - v) for grp, v in preds2.items()}, **shared)
     return sieve, rep1, rep2
 
 

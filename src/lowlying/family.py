@@ -61,6 +61,8 @@ class FamilyDef:
     def __post_init__(self):
         if self.B < 1:  # every prime would divide B = 0 and none be sieved
             raise ValueError(f"exceptional square B must be >= 1, got {self.B}")
+        if self.rank < 0:
+            raise ValueError(f"rank must be >= 0, got {self.rank}")
         inv = invariants(self)
         object.__setattr__(self, "_inv", inv)
 
@@ -175,8 +177,10 @@ def n_minus(f: FamilyDef, good_t) -> Fraction:
     """Exact fraction of odd-sign fibers among the given good t values.
 
     The Equidistributed rule returns 1/2 exactly; fibers whose sign the
-    rule cannot decide are counted at 1/2 as well.  A Birch-Stephens
-    rule's D(t) values are factorized by one sieve over the whole set.
+    rule cannot decide are counted at 1/2 as well.  Under every other
+    rule an empty set gives 0.  AllEven gives 0 and AllOdd 1, with no
+    sign computed per fiber.  A Birch-Stephens rule's D(t) values are
+    factorized by one sieve over the whole set.
     """
     rule = f.sign_rule
     if rule.kind == "Equidistributed":
@@ -185,12 +189,11 @@ def n_minus(f: FamilyDef, good_t) -> Fraction:
     if not good_t:
         return Fraction(0)
     if rule.kind in ("AllEven", "AllOdd"):
-        signs = [sign(f, t) for t in good_t]
-    else:
-        from .tate import _factor_values
+        return Fraction(rule.kind == "AllOdd")
+    from .tate import _factor_values
 
-        signs = (_birch_stephens(rule.kind, rule.D.eval(t), fac) for t, fac
-                 in zip(good_t, _factor_values(rule.D, good_t)))
+    signs = (_birch_stephens(rule.kind, rule.D.eval(t), fac) for t, fac
+             in zip(good_t, _factor_values(rule.D, good_t)))
     acc = Fraction(0)
     for s in signs:
         if s is None:
@@ -295,25 +298,45 @@ def load_family(path) -> FamilyDef:
     Schema: {"label", "a": [[a1], [a2], [a3], [a4], [a6]] ascending
     coefficient lists, "reparam": [c, t0], "B": int, "sign_rule": {"kind",
     "D": coeffs?}, "rank": int, "expected_conductor": coeffs or null}.
-    Other keys are ignored.
+    Every coefficient, c, t0, B and rank must be a JSON integer: a float
+    or a boolean is refused with its key named, not truncated or read as
+    0 or 1.  Other keys are ignored.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    a = [IntPoly(cs) for cs in cfg["a"]]
+    a = [IntPoly(_int_list("a", cs)) for cs in cfg["a"]]
     if len(a) != 5:
         raise ValueError(f"config 'a' must list 5 coefficient arrays, for "
                          f"a1, a2, a3, a4, a6 (no a5 slot); got {len(a)}")
-    c, t0 = cfg.get("reparam", (1, 0))
+    c, t0 = _int_list("reparam", cfg.get("reparam", [1, 0]))
     a = _reparametrize(a, c, t0)
     sr = cfg.get("sign_rule", {"kind": "Equidistributed"})
     if isinstance(sr, str):
         sr = {"kind": sr}
-    rule = SignRule(sr["kind"], IntPoly(sr["D"]) if sr.get("D") else None)
+    D = sr.get("D")
+    rule = SignRule(sr["kind"], IntPoly(_int_list("sign_rule.D", D))
+                    if D else None)
     ec = cfg.get("expected_conductor")
     return FamilyDef(
         cfg["label"], *a,
-        B=int(cfg.get("B", 1)),
+        B=_int("B", cfg.get("B", 1)),
         sign_rule=rule,
-        rank=int(cfg.get("rank", 0)),
-        expected_conductor=IntPoly(ec) if ec else None,
+        rank=_int("rank", cfg.get("rank", 0)),
+        expected_conductor=IntPoly(_int_list("expected_conductor", ec))
+        if ec else None,
     )
+
+
+def _int(key, x):
+    """x, refused unless it is a JSON integer (a bool is not one)."""
+    if type(x) is not int:
+        raise ValueError(f"config {key!r} must be an integer, got {x!r}")
+    return x
+
+
+def _int_list(key, xs):
+    """xs, refused unless it is a list of JSON integers."""
+    if not isinstance(xs, list) or any(type(x) is not int for x in xs):
+        raise ValueError(f"config {key!r} must be a list of integers, "
+                         f"got {xs!r}")
+    return xs

@@ -93,13 +93,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    return _chi(a, p)
-
-
 def _chi(a: int, p: int) -> int:
     """Legendre symbol (a|p) by Euler's criterion; p an odd prime."""
     e = pow(a, (p - 1) // 2, p)

@@ -54,7 +54,8 @@ def predict_d2(g1: TestFn, g2: TestFn, r: int = 0) -> dict:
     if r < 0:
         raise ValueError("rank must be non-negative")
     if g1.sigma + g2.sigma >= 1.0:
-        raise ValueError("2-level prediction needs sigma1 + sigma2 < 1")
+        raise ValueError("2-level pair needs sigma1 + sigma2 < 1, got "
+                         f"{g1.sigma} + {g2.sigma}")
     fun = functionals(g1, g2)
     f1, f2, h1, h2 = g1.f0, g2.f0, g1.fhat0, g2.fhat0
     rank = (r * r - r) * f1 * f2 + r * h1 * f2 + r * f1 * h2

@@ -39,8 +39,6 @@ def nu(D: IntPoly, d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be a positive square-free integer")
-    if d == 1:
-        return 1
     fac = factorize(d)
     if fac.cofactor != 1 or any(e > 1 for e in fac.prime_powers.values()):
         raise ValueError(f"d={d} is not square-free or not fully factored")
@@ -146,7 +144,9 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
 
 
 def cardinality_constant(f: FamilyDef, p_max: int = 1000) -> float:
-    """Truncated density product  prod_{p <= p_max, p not | B} (1 - nu(p)/p^2)."""
-    if f.inv["D"].is_constant():
-        return 1.0
+    """Truncated density product  prod_{p <= p_max, p not | B} (1 - nu(p)/p^2).
+
+    A constant D is the radical 1 of a constant discriminant: no prime
+    has a root, so every factor is 1.0.
+    """
     return math.prod(factor for *_, factor in _local_factors(f, p_max))

@@ -295,21 +295,17 @@ def _split_remainder(n: int, powers: dict) -> int:
     n is 1, a prime, or has no prime factor below 10^4.  Its prime
     factors are added to powers; a composite that rho cannot split
     within _RHO_SEEDS seeds multiplies into the returned cofactor.
+
+    One rule decides every part on the stack: below 10^8 = (10^4)^2 it
+    is prime, otherwise `is_prime` decides.  A part that rho or a
+    perfect-power root splits off divides n, so it has no prime factor
+    below 10^4 either, and a composite part is at least 10^8.
     """
-    def record(p, e=1):
-        powers[p] = powers.get(p, 0) + e
-
-    if n == 1:
-        return 1
-    if n < 10 ** 8 or is_prime(n):  # below trial-bound squared: prime
-        record(n)
-        return 1
-
-    stack, cofactor = [n], 1
+    stack, cofactor = [n] if n > 1 else [], 1
     while stack:
         m = stack.pop()
-        if is_prime(m):
-            record(m)
+        if m < 10 ** 8 or is_prime(m):
+            powers[m] = powers.get(m, 0) + 1
             continue
         # perfect powers show up as square parts of D(t)^k; a k-th power of
         # factors above 10^4 ~ 2^13.3 has k <= m.bit_length() // 13
@@ -387,7 +383,10 @@ def _factor_values(P: IntPoly, ts, content: int = 1):
             if val == 0:
                 yield None
                 continue
-            if 1 < v < _TRIAL:  # a prime the full trial loop would find
+            # a prime the full trial loop would find; left in v, it could
+            # make c_rest * v a composite below 10^8, which
+            # _split_remainder takes for a prime
+            if 1 < v < _TRIAL:
                 pw[v] = pw.get(v, 0) + 1
                 v = 1
             yield Factorization(abs(content * val), pw,

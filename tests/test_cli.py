@@ -100,6 +100,20 @@ def test_unknown_family_fails(capsys):
         "'F2plus', 'rank1', 'rank6', 'washington']\n")
 
 
+@pytest.mark.parametrize("where", ["--family", "--out"])
+def test_directory_path_fails(capsys, tmp_path, where):
+    # an IsADirectoryError ended in a traceback and exit status 1
+    argv = ["moments", "--family", "washington", "--pmax", "20"]
+    if where == "--family":
+        argv[2] = str(tmp_path)
+    else:
+        argv = ["--out", str(tmp_path)] + argv
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
 @pytest.mark.parametrize("pmax", ["4", "-1"])
 def test_moments_small_pmax_fails(capsys, pmax):
     status = main(["moments", "--family", "washington", "--pmax", pmax])
@@ -169,7 +183,8 @@ def test_density_inadmissible_pair_fails_fast():
          "--N", "300", "--testfn", "fejer:0.5", "--testfn2", "fejer:0.5"],
         capture_output=True, text=True, env=src_env(), timeout=30)
     assert p.returncode == 2 and p.stdout == ""
-    assert "error:" in p.stderr and "sigma1 + sigma2 < 1" in p.stderr
+    assert "error:" in p.stderr
+    assert "sigma1 + sigma2 < 1, got 0.5 + 0.5" in p.stderr
 
 
 def test_density_prime_cutoff_beyond_bound_fails(capsys):

@@ -24,11 +24,10 @@ def test_s_sums_dual_route():
 
 
 def _reference_walk(f, ts, gs, logC):
-    """Every prime up to each g's C_max^sigma, both terms, no skip; and
-    the primes where some g has a nonzero weight at some t."""
+    """Every prime up to each g's C_max^sigma, both terms, no skip."""
     ts = np.asarray(ts, dtype=np.int64)
     log_cmax = float(np.max(logC))
-    sums, weighted = [], set()
+    sums = []
     for g in gs:
         S1, S2 = np.zeros(ts.size), np.zeros(ts.size)
         for p in primes_upto(prime_cutoff(log_cmax, g.sigma)):
@@ -36,13 +35,11 @@ def _reference_walk(f, ts, gs, logC):
                 continue
             x = math.log(p) / logC
             w1, w2 = g.fhat(x), g.fhat(2.0 * x)
-            if np.any(w1) or np.any(w2):
-                weighted.add(p)
             ap = ap_table(f, p)[ts % p].astype(np.float64)
             S1 += (-2.0 / p) * x * w1 * ap
             S2 += (-2.0 / (p * p)) * x * w2 * ap * ap
         sums.append((S1, S2))
-    return sums, weighted
+    return sums
 
 
 @pytest.mark.parametrize("name", ["F1", "F2plus", "washington"])
@@ -52,7 +49,8 @@ def _reference_walk(f, ts, gs, logC):
 ])
 def test_walk_skips_are_exact(monkeypatch, name, specs):
     # the S2 cut past C_max^(sigma/2) and the all-zero-row skip leave
-    # every bit of every sum, and fetch the same a_t(p) rows
+    # every bit of every sum; every prime up to the largest S1 cutoff is
+    # fetched once, zero weights included
     make = {"fejer": make_fejer, "smoothbump": make_smooth_bump}
     gs = tuple(make[k](s) for k, s in zip(specs[::2], specs[1::2]))
     if len(gs) == 2:
@@ -60,7 +58,7 @@ def test_walk_skips_are_exact(monkeypatch, name, specs):
     f = get_family(name)
     ts = np.arange(100, 250)
     logC, _ = log_conductors(f, ts)
-    want, weighted = _reference_walk(f, ts, gs, logC)
+    want = _reference_walk(f, ts, gs, logC)
     fetched = []
 
     def counting(f, p):
@@ -69,7 +67,8 @@ def test_walk_skips_are_exact(monkeypatch, name, specs):
 
     monkeypatch.setattr(density, "ap_table", counting)
     got = _s_sum_arrays(f, ts, gs, logC)
-    assert fetched == sorted(weighted)
+    cut1 = max(prime_cutoff(float(np.max(logC)), g.sigma) for g in gs)
+    assert fetched == [p for p in primes_upto(cut1) if p > density.P_MIN]
     for (S1, S2), (R1, R2) in zip(got, want):
         assert np.array_equal(S1, R1) and np.array_equal(S2, R2)
     # both skips ran: rows past some S2 cutoff, and all-zero rows for
@@ -83,7 +82,8 @@ def test_walk_skips_are_exact(monkeypatch, name, specs):
 def test_s_sums_empty_prime_range():
     f1 = get_family("F1")
     g = make_fejer(0.01)  # cutoff C^sigma stays below p_min
-    S1, S2 = s_sums(f1, 50, g)
+    logC, _ = log_conductors(f1, [50])
+    S1, S2 = s_sums(f1, 50, g, float(logC[0]))
     assert S1 == 0.0 and S2 == 0.0
 
 
@@ -98,8 +98,9 @@ def test_prime_cutoff_beyond_bound_raises_before_sieving(monkeypatch):
     g = make_fejer(2)
     with pytest.raises(ValueError, match="sigma = 2"):
         d1_empirical(f1, 300, g)
+    logC, _ = log_conductors(f1, [600])
     with pytest.raises(ValueError, match="C_max"):
-        s_sums(f1, 600, g)
+        s_sums(f1, 600, g, float(logC[0]))
 
 
 def test_f1_only_split_primes_contribute():
@@ -170,12 +171,14 @@ def test_d2_sign_term():
 
 
 def test_d2_inadmissible_raises_before_any_work(monkeypatch):
+    # predict_d2 refuses the pair before the sieve runs
     calls = []
-    monkeypatch.setattr(density, "log_conductors",
+    monkeypatch.setattr(density, "enumerate_good",
                         lambda *args: calls.append(args))
     f1 = get_family("F1")
     for s1, s2 in ((0.5, 0.5), (0.7, 0.4)):
-        with pytest.raises(ValueError, match=r"sigma1 \+ sigma2 < 1"):
+        with pytest.raises(ValueError, match=rf"sigma1 \+ sigma2 < 1, "
+                           rf"got {s1} \+ {s2}"):
             d2_empirical(f1, 200, make_fejer(s1), make_fejer(s2))
     assert calls == []
 

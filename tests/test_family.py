@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from lowlying import family
 from lowlying.family import (FamilyDef, PRESETS, SignRule, get_family,
                              invariants, load_family, n_minus, sign)
 from lowlying.family import SingularFiberError
@@ -80,6 +81,18 @@ def test_n_minus():
     assert n_minus(get_family("F1"), good) == 0
     assert n_minus(get_family("washington"), [0, 1, 2]) == 1
     assert n_minus(get_family("rank1"), []) == Fraction(1, 2)
+
+
+def test_n_minus_constant_rules_need_no_sign(monkeypatch):
+    def refuse(f, t):
+        raise AssertionError("sign called")
+
+    monkeypatch.setattr(family, "sign", refuse)
+    w = get_family("washington")
+    even = dataclasses.replace(w, sign_rule=SignRule("AllEven"))
+    ts = list(range(1, 50))
+    assert n_minus(w, ts) == 1 and n_minus(even, ts) == 0
+    assert n_minus(w, []) == n_minus(even, []) == 0
 
 
 @pytest.mark.parametrize("name", ["F1", "F2plus", "F2minus", "washington",
@@ -160,6 +173,47 @@ def test_load_family_rejects_a5_slot(tmp_path, a5):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     with pytest.raises(ValueError, match="5 coefficient arrays.*got 6"):
         load_family(path)
+
+
+def _f1_tate_config():
+    src = Path(__file__).resolve().parents[1] / "perfbench" / "F1-tate.json"
+    return json.loads(src.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("a", [[0], [0], [0], [0], [-432.7, -7776, -34992]]),
+    ("a", [[0], [0], [0], [0], "-432"]),
+    ("reparam", [1.5, 0]),
+    ("reparam", [1, True]),
+    ("B", 2.0),
+    ("B", "1"),
+    ("rank", True),
+    ("rank", 1.0),
+    ("sign_rule", {"kind": "BirchStephensCubic", "D": [1, 9.5]}),
+    ("expected_conductor", [27, 486.0, 2187]),
+])
+def test_load_family_rejects_non_integers(tmp_path, key, value):
+    # a float was truncated, and true read as 1
+    cfg = _f1_tate_config()
+    cfg[key] = value
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    name = "sign_rule.D" if key == "sign_rule" else key
+    with pytest.raises(ValueError, match=f"config '{name}' must be"):
+        load_family(path)
+
+
+def test_negative_rank_refused(tmp_path):
+    # a rank of -1 was printed by `rank` and failed `density` only after
+    # the sieve and the prime walk
+    cfg = _f1_tate_config()
+    cfg["rank"] = -1
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
+        load_family(path)
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        dataclasses.replace(get_family("F1"), rank=-2)
 
 
 def test_expected_conductor_polys():

@@ -11,8 +11,7 @@ from lowlying import modarith
 from lowlying.family import FamilyDef, get_family, load_family
 from lowlying.modarith import (MomentTable, a_p, a_p_enumerate, ap_table,
                                chi_table, closed_form_moments, is_prime,
-                               legendre, moment_sum, nagao_estimate,
-                               primes_upto)
+                               moment_sum, nagao_estimate, primes_upto)
 from lowlying.polyint import IntPoly
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23]
@@ -42,19 +41,16 @@ def test_is_prime_matches_sieve_structure(n):
         assert any(n % d == 0 for d in range(2, n) if d * d <= n) or n < 2
 
 
-def test_legendre():
-    assert legendre(4, 7) == 1
-    assert legendre(3, 7) == -1
-    assert legendre(14, 7) == 0
-    p = 23
-    assert sum(legendre(a, p) for a in range(p)) == 0
-
-
 def test_chi_table():
-    for p in SMALL_PRIMES:
+    # Euler's criterion: a^((p-1)/2) mod p is 1, p - 1 or 0
+    for p in SMALL_PRIMES + [23]:
         tab = chi_table(p)
+        euler = [pow(a, (p - 1) // 2, p) for a in range(p)]
         assert [int(tab[a]) for a in range(p)] == \
-            [legendre(a, p) for a in range(p)]
+            [-1 if e == p - 1 else e for e in euler]
+        assert int(tab.sum()) == 0
+    tab = chi_table(7)
+    assert (tab[4], tab[3], tab[0]) == (1, -1, 0)  # (14|7) = (0|7)
 
 
 def test_ap_vs_enumeration_all_presets():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowlying.family import get_family
+from lowlying.family import FamilyDef, get_family
 from lowlying.modarith import PRIME_LIMIT
 from lowlying.polyint import poly
 from lowlying.sqsieve import (ZeroDensityError, cardinality_constant,
@@ -125,6 +125,14 @@ def test_density_matches_euler_product():
 def test_cardinality_constant_f1_range():
     c = cardinality_constant(get_family("F1"), 1000)
     assert 0.6 < c < 0.7
+
+
+def test_cardinality_constant_constant_discriminant():
+    # y^2 = x^3 + 1 at every t: D is the radical 1, so no prime has a root
+    z = poly()
+    fam = FamilyDef("const", z, z, z, z, poly(1))
+    assert fam.inv["D"].is_constant()
+    assert cardinality_constant(fam, 1000) == 1.0
 
 
 def test_zero_density_guidance():

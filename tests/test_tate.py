@@ -151,6 +151,42 @@ def test_factorize_complete_moderate(monkeypatch):
     assert factorize(q * q * r).cofactor == q * q * r
 
 
+@pytest.mark.parametrize("seeds", [64, 0])
+@pytest.mark.parametrize("n", [1, 10007, 10007 ** 2, 10007 * 10009,
+                               10 ** 9 + 7, (10 ** 9 + 7) ** 2])
+def test_factorize_prime_powers_and_cofactors(monkeypatch, n, seeds):
+    # parts above the trial bound: a part below 10^8 is prime, a larger
+    # one (10007 * 10009 = 100,160,063) goes to the prime test
+    from sympy import factorint, isprime
+
+    monkeypatch.setattr(tate, "_RHO_SEEDS", seeds)
+    fac = factorize(n)
+    want = factorint(n)
+    assert all(want[p] == e for p, e in fac.prime_powers.items())
+    left = {p: e for p, e in want.items() if p not in fac.prime_powers}
+    assert fac.cofactor == math.prod(p ** e for p, e in left.items())
+    if seeds or n != 10007 * 10009:
+        assert fac.cofactor == 1
+    else:
+        assert not isprime(fac.cofactor)
+
+
+def test_factorize_small_parts_skip_prime_test(monkeypatch):
+    # rho splits 10007 * (10^9 + 7); the part 10007 < 10^8 is prime
+    # without a Miller-Rabin run
+    args = []
+    real = tate.is_prime
+
+    def spy(n):
+        args.append(n)
+        return real(n)
+
+    monkeypatch.setattr(tate, "is_prime", spy)
+    fac = factorize(10007 * (10 ** 9 + 7))
+    assert fac.prime_powers == {10007: 1, 10 ** 9 + 7: 1}
+    assert args and min(args) >= 10 ** 8
+
+
 def test_factorize_hard_semiprime_stays_whole():
     # two 30-digit primes: rho's capped steps cannot split them, so the
     # product comes back promptly as the cofactor instead of hanging
