@@ -41,6 +41,18 @@ def test_is_prime_matches_sieve_structure(n):
         assert any(n % d == 0 for d in range(2, n) if d * d <= n) or n < 2
 
 
+def test_legendre():
+    # the scalar Legendre symbol that a_p uses, by Euler's criterion
+    assert modarith._chi(4, 7) == 1
+    assert modarith._chi(3, 7) == -1
+    assert modarith._chi(14, 7) == 0
+    p = 23
+    assert sum(modarith._chi(a, p) for a in range(p)) == 0
+    for p in SMALL_PRIMES:
+        assert [modarith._chi(a, p) for a in range(p)] == \
+            [int(x) for x in chi_table(p)]
+
+
 def test_chi_table():
     # Euler's criterion: a^((p-1)/2) mod p is 1, p - 1 or 0
     for p in SMALL_PRIMES + [23]:
