@@ -9,7 +9,7 @@ For each good t the explicit formula contributes
 over primes p > P_MIN = 5, with the prime cutoffs enforced exactly by
 the compact support of ghat: S1 ends at C_max^sigma and S2 at
 C_max^(sigma/2), past which ghat(2 log p/log C(t)) is exactly 0.0 for
-every t.  A prime whose a_t(p) row is all zero adds nothing and is
+every t.  A prime whose a_t(p) table is all zero adds nothing and is
 skipped (`_s_sum_arrays` gives the proof that both skips are exact, and
 that a zero weight needs no skip of its own).
 Averaging over the sieve's good set gives the empirical density; the
@@ -134,9 +134,12 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
       1/(p log p) > 4e-11 (p <= 10^9), far above rounding.  Every ghat
       of `testfn` is exactly 0.0 at |u| >= sigma, so S2's terms there
       are +-0.0.
-    - A prime whose a_t(p) row is all zero (every p = 2 mod 3 for F1,
-      p = 3 mod 4 for F2+-) adds +-0.0 to every sum; the row is fetched
-      and no test function is evaluated at the prime.
+    - A prime whose a_t(p) table is all zero (every p = 2 mod 3 for F1,
+      p = 3 mod 4 for F2+-, by `ap_table`'s coefficient rule) adds +-0.0
+      to every sum; the table is tested before the fibers' row is
+      gathered from it, and no test function is evaluated at the prime.
+      A row that is all zero in a table that is not adds +-0.0 too, as
+      below, so it is summed.
 
     Adding +-0.0 changes no sum: each starts at +0.0 and round to
     nearest never makes -0.0 from an exact cancellation, so no sum is
@@ -154,10 +157,10 @@ def _s_sum_arrays(f: FamilyDef, ts, gs, logC):
     for p in primes_upto(max(pmax1 for pmax1, _ in pmaxs)):
         if p <= P_MIN:
             continue
-        ap = ap_table(f, p)[ts % p]
-        if not ap.any():
+        tab = ap_table(f, p)
+        if not tab.any():
             continue
-        ap = ap.astype(np.float64)
+        ap = tab[ts % p].astype(np.float64)
         x = math.log(p) / logC
         for g, (pmax1, pmax2), (S1, S2) in zip(gs, pmaxs, sums):
             if p > pmax1:

@@ -111,7 +111,9 @@ def _bc_invariants(a1, a2, a3, a4, a6):
 def invariants(f: FamilyDef) -> dict:
     """Standard Weierstrass quantities of the family as polynomials.
 
-    D is the primitive square-free part of the discriminant.
+    D is the primitive square-free part of the discriminant; A = -27 c4
+    and B = -54 c6 are the coefficients of the short model
+    y^2 = x^3 + A x + B, which `modarith.ap_table` reads.
     """
     b2, b4, b6, b8, c4, c6, delta = _bc_invariants(f.a1, f.a2, f.a3, f.a4,
                                                    f.a6)
@@ -120,7 +122,8 @@ def invariants(f: FamilyDef) -> dict:
     assert c4 ** 3 - c6 ** 2 == 1728 * delta
     assert 4 * b8 == b2 * b6 - b4 * b4
     return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
-            "delta": delta, "D": radical(delta)}
+            "delta": delta, "D": radical(delta), "A": -27 * c4,
+            "B": -54 * c6}
 
 
 def sign(f: FamilyDef, t: int):

@@ -1,15 +1,20 @@
 """Prime generation, residue symbols, point-count coefficients a_t(p),
 and exact batched moment sums A_{r}(p) = sum over t mod p of a_t(p)^r.
 
-A whole table t -> a_t(p) (`ap_table`) is computed in O(p log p): each
-fiber's short model y^2 = x^3 + A x + B falls in one of three twist
-classes (A = 0, B = 0, AB != 0).  Since a(u^2 A, u^3 B) = chi(u) a(A, B),
-the two CM classes are one loop over k: the A = 0 class (k = 3) is fixed
-by one direct character sum per coset of the cubes when p = 1 mod 3, the
-B = 0 class (k = 2) by one per coset of the squares when p = 1 mod 4,
-and each is scattered over its class in O(p); otherwise the class is 0
-and costs no sum.  The AB != 0 class is one cyclic correlation of a
-fixed histogram with the Legendre character, done by real FFT; it is an
+A whole table t -> a_t(p) (`ap_table`) is read from one table of the
+powers pw[k] = g^k of a primitive root g mod p (block doubling, every
+product reduced mod p) and its inverse permutation ind; the search for
+g is a Lucas certificate, so a composite p is refused.  Each fiber's
+short model y^2 = x^3 + A x + B falls in one of three twist classes
+(A = 0, B = 0, AB != 0), and a(u^2 A, u^3 B) = chi(u) a(A, B), with
+chi(g^k) = (-1)^k.  When p = 1 mod 3 the A = 0 class is
+a(0, g^k) = v[k mod 6] (g^(j+3m) = g^j (g^m)^3), three sums over the
+cubes pw[::3]; when p = 1 mod 4 the B = 0 class is a(g^k, 0) =
+w[k mod 4] (g^(j+2m) = g^j (g^m)^2), two sums over the squares pw[::2].
+Otherwise that class is 0, and when A(t) (or B(t)) vanishes mod p
+coefficient-wise the whole table is, and is returned before any residue
+is evaluated.  The AB != 0 class is one cyclic correlation of a fixed
+histogram with the Legendre character, done by real FFT; it is an
 integer, and its rounding error is asserted below 0.25 before rounding.
 `a_p` computes one t directly as a character sum and `a_p_enumerate`
 counts points; both stay as independent references.  `ap_table`, `a_p`
@@ -142,94 +147,137 @@ def a_p(f: FamilyDef, t: int, p: int, chi=None) -> int:
     return -int(chi[g].sum(dtype=np.int64))
 
 
-def _inverses(p: int) -> np.ndarray:
-    """x^(p-2) mod p for every residue x (so 0 maps to 0), int64."""
-    base = np.arange(p, dtype=np.int64)
-    out = np.ones(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+def _primitive_root(p: int) -> int:
+    """The least primitive root g mod p, found by a Lucas certificate.
+
+    An a with a^(p-1) != 1 mod p proves p composite; an a with
+    a^((p-1)/q) != 1 for every prime q | p - 1 as well has order p - 1,
+    which proves p prime and a a generator.  Below the least prime factor
+    of a composite p no a passes, and that factor fails the first test,
+    so the search ends for every p > 3: a composite p raises ValueError.
+    """
+    n, qs, q = p - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            qs.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 + (q > 2)
+    if n > 1:
+        qs.append(n)
+    for a in range(2, p):
+        if pow(a, p - 1, p) != 1:
+            raise ValueError(f"a_t(p) needs a prime p > 3, got composite {p}")
+        if all(pow(a, (p - 1) // q, p) != 1 for q in qs):
+            return a
+
+
+def _power_table(g: int, p: int):
+    """(pw, ind): pw[k] = g^k mod p for k < p - 1, by block doubling
+    (pw[n:2n] = g^n pw[:n], each product reduced mod p, so it stays below
+    p^2), and its inverse permutation ind[g^k] = k, with ind[0] = 0;
+    both int64."""
+    pw = np.empty(p - 1, dtype=np.int64)
+    pw[0] = 1
+    n, gn = 1, g  # gn = g^n mod p
+    while n < p - 1:
+        m = min(n, p - 1 - n)
+        np.multiply(pw[:m], gn, out=pw[n:n + m])
+        np.remainder(pw[n:n + m], p, out=pw[n:n + m])
+        n, gn = n + m, gn * gn % p
+    ind = np.zeros(p, dtype=np.int64)
+    ind[pw] = np.arange(p - 1, dtype=np.int64)
+    return pw, ind
 
 
 def ap_table(f: FamilyDef, p: int) -> np.ndarray:
     """a_t(p) for every residue t mod p, as an int64 array.
 
     For p > 3 every fiber y^2 = x^3 + A x + B (A = -27 c4(t),
-    B = -54 c6(t) mod p) falls in one of three twist classes.  The
-    substitution x -> u x gives a(u^2 A, u^3 B) = chi(u) a(A, B) for
-    every unit u, so each class is filled from a few values:
+    B = -54 c6(t) mod p, the family's `inv["A"]` and `inv["B"]`) falls
+    in one of three twist classes.  The substitution x -> u x gives
+    a(u^2 A, u^3 B) = chi(u) a(A, B) for every unit u.  Everything is
+    read from the powers pw[k] = g^k of the primitive root g of
+    `_primitive_root` (which refuses a composite p) and their inverse
+    permutation ind (`_power_table`): chi(g^k) = (-1)^k, the parity of
+    ind, and g^a / g^b = pw[(a - b) mod (p - 1)].
 
-      A = 0:   a(0, r u^3) = chi(u) a(0, r); when p = 1 mod 3 the class
-               is fixed by the cosets of the cubes, k = 3.  When
-               p = 2 mod 3 cubing is a bijection, so the class is 0:
-               a(0, 1) = -sum_x chi(x^3 + 1) = -sum_y chi(y + 1) = 0;
-      B = 0:   a(r u^2, 0) = chi(u) a(r, 0); when p = 1 mod 4, where
-               chi(-1) = 1, so u and -u agree, the class is fixed by the
-               cosets of the squares, k = 2.  When p = 3 mod 4 the class
-               is 0: x^3 + A x is odd and chi(-1) = -1;
+      A = 0:   p = 1 mod 3: a(0, g^k) = v[k mod 6], since g^(j + 3m) =
+               g^j (g^m)^3 gives a(0, g^(j+3m)) = (-1)^m a(0, g^j); and
+               x -> x^3 is 3-to-1 onto the cubes pw[::3], so
+               v_j = -chi(g^j) - 3 sum_{y in pw[::3]} chi(y + g^j) for
+               j < 3, and v_(j+3) = -v_j.  p = 2 mod 3: cubing is a
+               bijection, so a(0, B) = -sum_y chi(y + B) = 0;
+      B = 0:   p = 1 mod 4: a(g^k, 0) = w[k mod 4], since g^(j + 2m) =
+               g^j (g^m)^2 gives (-1)^m w_j; with x = g^i the sum
+               -sum_x chi(x) chi(x^2 + g^j) repeats with period (p-1)/2
+               in i, so w_j = -2 sum_i (-1)^i chi(pw[::2][i] + g^j),
+               and w_(j+2) = -w_j.  p = 3 mod 4: x^3 + A x is odd and
+               chi(-1) = -1, so a(A, 0) = 0;
       A = B = 0: a(0, 0) = -sum_x chi(x) = 0;
       AB != 0: a(A,B) = chi(AB) a(k,k), k = A^3/B^2 (a quadratic twist
                by A/B), with a(k,k) = -chi(-1) - sum_u h[u] chi(u+k) and
-               h the chi(x+1)-weighted histogram of x^3/(x+1), x != -1.
+               h the chi(x+1)-weighted histogram of x^3/(x+1), x != -1;
+               chi(AB) and k are read at the exponents ind A + ind B
+               and 3 ind A - 2 ind B, as is x^3/(x+1).
 
-    The two CM classes are one loop over k: the representatives are
-    r = c^j, j < k, with c the least non-k-th power; each is one direct
-    sum -sum_x chi(x^3 + r x^(3-k)), scattered to r u^k over the units u
-    in O(p).  chi and x^3 are built only when some class at p is not 0.
-    The AB != 0 class is one cyclic correlation with chi for all k at
-    once, a real FFT at a power-of-two length >= 2p, so a table costs
-    O(p log p) only when some residue needs it.  The correlation is an
-    integer; its rounding error is asserted below 0.25 before rounding,
-    so the table is exact.  Every power is reduced mod p after each
-    product, so no int64 product exceeds p^2.  p must be a prime > 3.
+    Coefficient rule: when A(t) vanishes mod p coefficient-wise and
+    p != 1 mod 3, every fiber is in the A = 0 class (or A = B = 0), so
+    the table is 0; likewise when B(t) does and p != 1 mod 4.  Such a
+    table is returned before any residue is evaluated or any power
+    table built.  The AB != 0 class is one cyclic correlation with chi
+    for all k at once, a real FFT at a power-of-two length >= 2p, so a
+    table costs O(p log p) only when some residue needs it.  The
+    correlation is an integer; its rounding error is asserted below 0.25
+    before rounding, so the table is exact.  No int64 product exceeds
+    p^2, as every power is a table entry.  p must be a prime > 3.
     """
     if p <= 3:
         raise ValueError(f"a_t(p) needs a prime p > 3, got {p}")
+    g = _primitive_root(p)
+    Apoly, Bpoly = f.inv["A"], f.inv["B"]
+    if ((p % 3 != 1 and not any(c % p for c in Apoly.coeffs))
+            or (p % 4 != 1 and not any(c % p for c in Bpoly.coeffs))):
+        return np.zeros(p, dtype=np.int64)
+    pw, ind = _power_table(g, p)
+    chi = 1 - 2 * (ind & 1)
+    chi[0] = 0
+    chi2 = np.tile(chi, 2)  # chi2[y + r] = chi[(y + r) mod p] for y, r < p
     xs = np.arange(p, dtype=np.int64)
-    A = (-27 * vals_mod(f.inv["c4"], p, xs)) % p
-    B = (-54 * vals_mod(f.inv["c6"], p, xs)) % p
+    A, B = vals_mod(Apoly, p, xs), vals_mod(Bpoly, p, xs)
     out = np.zeros(p, dtype=np.int64)  # where a class is 0, as above
     a0, b0 = A == 0, B == 0
-    gen = ~(a0 | b0)
-    # (k, class, its coordinate r u^k): A = 0 by cubes, B = 0 by squares,
-    # each not 0 only at p = 1 mod 2k (for odd p, 1 mod 6 is 1 mod 3)
-    cm = [(k, cls, key) for k, cls, key in ((3, a0 & ~b0, B), (2, b0 & ~a0, A))
-          if p % (2 * k) == 1 and cls.any()]
-    if not cm and not gen.any():
-        return out
-    chi = chi_table(p)
-    x3 = xs * xs % p * xs % p
-    units = chi[1:].astype(np.int64)
-    for k, cls, key in cm:
-        c = next(a for a in range(2, p) if pow(a, (p - 1) // k, p) != 1)
-        # the model x^3 + r m at representative r, and u^k over the units u
-        m, uk = (1, x3[1:]) if k == 3 else (xs, xs[1:] * xs[1:] % p)
-        tab = np.zeros(p, dtype=np.int64)
+    # (k, class, its coordinate g^j u^k): A = 0 by cubes, B = 0 by
+    # squares, each not 0 only at p = 1 mod 2k (for odd p, 1 mod 6 is
+    # 1 mod 3).  With x = g^i the model is x^(3-k) (x^k + g^j), so the
+    # sum over i carries (-1)^(i (3-k)), and x = 0 adds chi(g^j) at k = 3
+    for k, cls, key in ((3, a0 & ~b0, B), (2, b0 & ~a0, A)):
+        if p % (2 * k) != 1 or not cls.any():
+            continue
+        v = []
         for j in range(k):
-            r = pow(c, j, p)
-            a_r = -int(chi[(x3 + r * m) % p].sum(dtype=np.int64))
-            tab[r * uk % p] = a_r * units
-        out[cls] = tab[key[cls]]
+            c = chi2[pw[::k] + pw[j]]
+            s = c.sum() if k == 3 else c[::2].sum() - c[1::2].sum()
+            v.append(-(k == 3) * int(chi[pw[j]]) - k * int(s))
+        # v[ind mod 2k], with v tiled over the p - 1 values of ind
+        vt = np.tile(v + [-a for a in v], (p - 1) // (2 * k))
+        out[cls] = vt[ind[key[cls]]]
+    gen = ~(a0 | b0)
     if gen.any():
         size = 1 << (2 * p - 1).bit_length()
-        inv = _inverses(p)
-        s = xs[:-1] + 1  # x + 1 for x != -1
-        h = np.bincount(x3[:-1] * inv[s] % p, weights=chi[s],
-                        minlength=p)
+        # x^3/(x+1) = g^(3 ind x - ind(x+1)) for x != 0, -1; and 0 at x = 0
+        u = np.concatenate(([0], pw[(3 * ind[1:-1] - ind[2:]) % (p - 1)]))
+        h = np.bincount(u, weights=chi[1:], minlength=p)
         # c[k] = sum_u h[u] chi((u + k) mod p); chi is tiled twice and
         # u + k < 2p <= size, so the length-size correlation does not wrap
-        chi_hat = np.fft.rfft(np.tile(chi.astype(np.float64), 2), size)
+        chi_hat = np.fft.rfft(chi2.astype(np.float64), size)
         c = np.fft.irfft(np.conj(np.fft.rfft(h, size)) * chi_hat, size)[:p]
         r = np.rint(c)
         assert np.max(np.abs(c - r)) < 0.25, "FFT rounding error too large"
         akk = -int(chi[p - 1]) - r.astype(np.int64)
-        Ag, Bg = A[gen], B[gen]
-        k = Ag * Ag % p * Ag % p * (inv[Bg] ** 2 % p) % p
-        out[gen] = chi[Ag * Bg % p] * akk[k]
+        ia, ib = ind[A[gen]], ind[B[gen]]
+        out[gen] = ((1 - 2 * ((ia + ib) & 1))
+                    * akk[pw[(3 * ia - 2 * ib) % (p - 1)]])
     return out
 
 

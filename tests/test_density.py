@@ -48,7 +48,7 @@ def _reference_walk(f, ts, gs, logC):
     ("fejer", 0.25, "smoothbump", 0.15),
 ])
 def test_walk_skips_are_exact(monkeypatch, name, specs):
-    # the S2 cut past C_max^(sigma/2) and the all-zero-row skip leave
+    # the S2 cut past C_max^(sigma/2) and the all-zero-table skip leave
     # every bit of every sum; every prime up to the largest S1 cutoff is
     # fetched once, zero weights included
     make = {"fejer": make_fejer, "smoothbump": make_smooth_bump}
@@ -71,11 +71,11 @@ def test_walk_skips_are_exact(monkeypatch, name, specs):
     assert fetched == [p for p in primes_upto(cut1) if p > density.P_MIN]
     for (S1, S2), (R1, R2) in zip(got, want):
         assert np.array_equal(S1, R1) and np.array_equal(S2, R2)
-    # both skips ran: rows past some S2 cutoff, and all-zero rows for
+    # both skips ran: rows past some S2 cutoff, and all-zero tables for
     # the one-class families
     cut2 = min(prime_cutoff(float(np.max(logC)), g.sigma / 2) for g in gs)
     assert fetched[-1] > cut2
-    zero = [not ap_table(f, p)[ts % p].any() for p in fetched]
+    zero = [not ap_table(f, p).any() for p in fetched]
     assert any(zero) == (name != "washington")
 
 

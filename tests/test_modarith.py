@@ -85,6 +85,35 @@ def test_ap_needs_p_above_3():
             a_p(f, 1, p)
 
 
+@pytest.mark.parametrize("p", [9, 15, 25, 561, 1105])
+def test_ap_table_refuses_composite(p):
+    # 561 and 1105 are Carmichael numbers, so a^(p-1) = 1 for every unit
+    # a; the coefficient rule would give F1 (A = 0) a zero table at
+    # p = 0 mod 3 and F2plus (B = 0) one at p = 3 mod 4, so the refusal
+    # must come first
+    for name in ("F1", "F2plus", "rank1"):
+        with pytest.raises(ValueError, match=f"composite {p}$"):
+            ap_table(get_family(name), p)
+
+
+def test_power_table():
+    # pw is the orbit of g: a permutation of 1..p-1 with pw[k+1] = g pw[k];
+    # ind inverts it, so g^(-ind x) is the inverse of x
+    for p in [q for q in primes_upto(2000) if q >= 5] + [2097169]:
+        g = modarith._primitive_root(p)
+        pw, ind = modarith._power_table(g, p)
+        assert pw.dtype == ind.dtype == np.int64
+        assert np.array_equal(np.sort(pw), np.arange(1, p)), p
+        assert np.array_equal(pw[1:], pw[:-1] * g % p), p
+        x = np.arange(1, p, dtype=np.int64)
+        assert np.array_equal(pw[ind[x]], x), p
+        assert np.all(x * pw[-ind[x] % (p - 1)] % p == 1), p
+        if p < 2000:  # g is the least primitive root
+            qs = [q for q in primes_upto(p) if (p - 1) % q == 0]
+            assert all(any(pow(a, (p - 1) // q, p) == 1 for q in qs)
+                       for a in range(2, g)), p
+
+
 def test_ap_table_matches_pointwise():
     # F1 has A = 0 at every t, F2plus/F2minus B = 0 (and A = B = 0 at one
     # t), washington/rank1/rank6 mostly AB != 0: every twist class is hit.
@@ -94,11 +123,17 @@ def test_ap_table_matches_pointwise():
     # primes where it has representatives and at primes where it is 0.
     fams = [get_family(name) for name in
             ("F1", "F2plus", "F2minus", "washington", "rank1", "rank6")]
+    # A = 1296 * 455 t and B = 46656 * 1309 (t + 2) vanish mod some
+    # primes coefficient-wise: A mod 5, 7, 13 and B mod 7, 11, 17.  The
+    # coefficient rule zeroes the table at 5 (A, 5 = 2 mod 3), 7 and 11
+    # (B, = 3 mod 4); at 13 (= 1 mod 3) and 17 (= 1 mod 4) it must not
     fams += [load_family(F1_TATE),
              FamilyDef("x^3+t", IntPoly(), IntPoly(), IntPoly(), IntPoly(),
                        IntPoly([0, 1])),
              FamilyDef("x^3+tx", IntPoly(), IntPoly(), IntPoly(),
-                       IntPoly([0, 1]), IntPoly())]
+                       IntPoly([0, 1]), IntPoly()),
+             FamilyDef("x^3+455tx+1309(t+2)", IntPoly(), IntPoly(), IntPoly(),
+                       IntPoly([0, 455]), IntPoly([2618, 1309]))]
     primes = [p for p in primes_upto(400) if p >= 5] + [1009]
     for f in fams:
         for p in primes:
@@ -134,17 +169,23 @@ def test_ap_table_twists_above_2_21():
 
 
 def test_ap_table_zero_cm_class_builds_no_chi(monkeypatch):
-    # F1 is all A = 0 (and F2plus all B = 0) but for A = B = 0 at t = 0;
-    # at p = 2 mod 3 (p = 3 mod 4) that class is 0, so no character
-    # table is built
+    # F1 has c4 = 0 (all A = 0) and F2plus c6 = 0 (all B = 0): at
+    # p = 2 mod 3 (p = 3 mod 4) that class is 0, and the coefficient rule
+    # returns the zero table before any residue is evaluated or any power
+    # table (or the chi it gives) is built
     calls = []
-    real = modarith.chi_table
+    real_powers, real_vals = modarith._power_table, modarith.vals_mod
 
-    def counting(p):
-        calls.append(p)
-        return real(p)
+    def powers(g, p):
+        calls.append(("powers", p))
+        return real_powers(g, p)
 
-    monkeypatch.setattr(modarith, "chi_table", counting)
+    def vals(P, m, xs):
+        calls.append(("vals", m))
+        return real_vals(P, m, xs)
+
+    monkeypatch.setattr(modarith, "_power_table", powers)
+    monkeypatch.setattr(modarith, "vals_mod", vals)
     cases = (("F1", 3, 2), ("F2plus", 4, 3))
     for name, m, zero in cases:
         f = get_family(name)
@@ -153,8 +194,9 @@ def test_ap_table_zero_cm_class_builds_no_chi(monkeypatch):
     assert calls == []
     for name, m, zero in cases:
         p = next(q for q in primes_upto(100) if q > 3 and q % m != zero)
-        ap_table(get_family(name), p)
-        assert calls[-1] == p  # the counter sees a class that is not 0
+        assert ap_table(get_family(name), p).any(), (name, p)
+        assert ("powers", p) in calls  # built where the class is not 0
+        calls.clear()
 
 
 def test_hasse_bound():
