@@ -150,13 +150,17 @@ def vals_mod(P: IntPoly, m: int, xs) -> np.ndarray:
     """P(x) mod m for every x of xs, as an int64 array.
 
     Horner on the coefficients reduced mod m, with xs reduced mod m
-    first.  1 <= m < 2^31 keeps acc * x below 2^62, so no step
+    first; a P whose every coefficient vanishes mod m gives zeros with
+    neither pass.  1 <= m < 2^31 keeps acc * x below 2^62, so no step
     overflows int64; any other m raises ValueError.
     """
     if not 1 <= m < 2 ** 31:
         raise ValueError(f"vals_mod needs 1 <= m < 2^31, got {m}")
-    x = np.asarray(xs, dtype=np.int64) % m
-    cs = [c % m for c in P.coeffs] or [0]
+    x = np.asarray(xs, dtype=np.int64)
+    cs = [c % m for c in P.coeffs]
+    if not any(cs):
+        return np.zeros_like(x)
+    x = x % m
     acc = np.full_like(x, cs[-1])
     for c in reversed(cs[:-1]):
         acc *= x

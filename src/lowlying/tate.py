@@ -31,6 +31,16 @@ global densities for Weierstrass models of elliptic curves").  On the
 random models of tests/test_tate.py keys first disagree on f_p with the
 unit parts taken mod 2^3 and mod 3, so mod p^6 leaves a margin.
 
+At 2 and 3 the rule runs for up to 8,192 fibers at once: c4(t), c6(t)
+and delta(t) are taken mod p^K with numpy, K = 30 at 2 and 19 at 3 (the
+largest powers below 2^31); the valuations and unit parts mod p^6 are
+read off those residues, the fibers are grouped by key, and Tate runs
+once per new key.  A fiber whose residues are too short (v_p(c4(t)) or
+v_p(c6(t)) above K - 6, v_p(delta(t)) >= K, or c4(t) or c6(t) = 0 where
+the polynomial is not 0), or in a chunk with a t beyond int64, takes the
+exact path: c4(t) and c6(t) as integers, as at every p > 3.  Both paths
+share the dict of keys.
+
 `conductor(f, t)` runs `tate_local` at every bad prime of one fiber
 that `factorize` finds; it is the oracle of `conductors` in the tests.
 """
@@ -45,7 +55,7 @@ import numpy as np
 
 from .family import FamilyDef, SingularFiberError, _bc_invariants
 from .modarith import is_prime, primes_upto
-from .polyint import IntPoly, roots_mod
+from .polyint import IntPoly, roots_mod, vals_mod
 
 
 @dataclass
@@ -433,6 +443,15 @@ def conductor(f: FamilyDef, t: int):
 # p-adic digits of the unit parts of c4 and c6 in the local key
 _UNIT_DIGITS = 6
 
+# fibers whose residues at 2 and 3 are read at a time: bounds the int64
+# arrays held at once and amortizes numpy's per-call cost (chunks of
+# _CHUNK fibers made the pass about twice as slow on 6,900 fibers)
+_RESIDUE_CHUNK = 8 * _CHUNK
+
+# exponent K of the residues mod p^K that `conductors` reads f_2 and f_3
+# from: the largest p^K below 2^31, the bound of `vals_mod`
+_RESIDUE_EXP = {2: 30, 3: 19}
+
 
 def _local_class(x: int, p: int):
     """(v_p(x), x / p^v_p(x) mod p^6), or None for x = 0."""
@@ -442,45 +461,137 @@ def _local_class(x: int, p: int):
     return v, x // p ** v % p ** _UNIT_DIGITS
 
 
+def _vp_unit(r: np.ndarray, p: int):
+    """(v_p(r), r / p^v_p(r) mod p^6) for each entry of the int64 array
+    r, |r| < 2^31; a zero entry gives (0, 0).
+
+    v_p(r) < 32, so stripping p^16, p^8, p^4, p^2 and p wherever each
+    divides finds it in five passes.
+    """
+    v = np.zeros_like(r)
+    u = r
+    for k in (16, 8, 4, 2, 1):
+        d = (u % p ** k == 0) & (u != 0)
+        v += k * d
+        u = np.where(d, u // p ** k, u)
+    return v, u % p ** _UNIT_DIGITS
+
+
+def _small_prime_exponents(f: FamilyDef, ts, f_local: dict) -> dict:
+    """{p: f_p of each fiber of ts} for p = 2 and 3, read off c4(t),
+    c6(t) and delta(t) mod p^K with numpy; -1 marks the fibers left to
+    the exact path.
+
+    f_p = 0 where p does not divide delta(t), and 1 where it does not
+    divide c4(t).  Elsewhere v_p and the unit part mod p^6 of a residue
+    r = x mod p^K equal those of x when v_p(r) <= K - 6, and v_p(delta)
+    needs only v_p(r) < K; the fiber's local key then comes from the
+    residues, the fibers are grouped by key, and `tate_local` runs on
+    the first fiber of each key not yet in f_local.  The residues cannot
+    decide a fiber where c4(t) or c6(t) has v_p > K - 6 or is 0 (for a
+    polynomial not identically 0) or where v_p(delta(t)) >= K; a t that
+    does not fit in int64 leaves every fiber of ts to the exact path.
+    """
+    inv = f.inv
+    try:
+        x = np.asarray(ts, dtype=np.int64)
+    except OverflowError:  # a t beyond int64: all of ts stays exact
+        return {p: [-1] * len(ts) for p in _RESIDUE_EXP}
+    out = {}
+    for p, K in _RESIDUE_EXP.items():
+        m = p ** K
+        rd = vals_mod(inv["delta"], m, x)
+        r4 = vals_mod(inv["c4"], m, x)
+        fp = np.where(rd % p != 0, 0, np.where(r4 % p != 0, 1, -1))
+        rest = np.flatnonzero(fp == -1)
+        rd, r4 = rd[rest], r4[rest]
+        r6 = vals_mod(inv["c6"], m, x[rest])
+        vd, _ = _vp_unit(rd, p)
+        exact = rd == 0
+        lams = []
+        for P, r in ((inv["c4"], r4), (inv["c6"], r6)):
+            v, u = _vp_unit(r, p)
+            if P.is_zero():  # lam = None: v = K, which no residue gives
+                v = np.full_like(r, K)
+            else:
+                exact |= (r == 0) | (v > K - _UNIT_DIGITS)
+            lams.append((v, u))
+        keyed = np.flatnonzero(~exact)
+        (v4, u4), (v6, u6) = ((v[keyed], u[keyed]) for v, u in lams)
+        vd, keyed = vd[keyed], rest[keyed]
+        M = p ** _UNIT_DIGITS
+        packed = (((v4 * M + u4) * (K + 1) + v6) * M + u6) * (K + 1) + vd
+        _, first, which = np.unique(packed, return_index=True,
+                                    return_inverse=True)
+        f_key = []
+        for i in first.tolist():
+            key = (p, None if v4[i] == K else (int(v4[i]), int(u4[i])),
+                   None if v6[i] == K else (int(v6[i]), int(u6[i])),
+                   int(vd[i]))
+            if key not in f_local:
+                t = int(ts[keyed[i]])
+                f_local[key] = tate_local(f.specialize(t), p).f_p
+            f_key.append(f_local[key])
+        fp[keyed] = np.array(f_key, dtype=np.int64)[which]
+        out[p] = fp.tolist()
+    return out
+
+
 def conductors(f: FamilyDef, ts):
     """Yield conductor(f, t) for each t of the sequence ts, from one sieve
-    of content(delta) D(t); only a chunk of factorizations is held.
+    of content(delta) D(t); only a chunk of factorizations, and one of
+    residues at 2 and 3, is held.
 
     The factorizations come from `_factor_values` and equal factorize's.
-    c4(t) and c6(t) are evaluated once per fiber, and each bad prime
-    takes f_p by the module's local rule: 1 if p does not divide c4(t);
-    2 if p > 3 and v_p(c4(t)) < 4 or v_p(c6(t)) < 6; else the f_p stored
-    under the fiber's local key (p, lam(c4(t)), lam(c6(t)), v_p(delta(t))),
-    with delta(t) = (c4(t)^3 - c6(t)^2) / 1728, or, on the key's first
-    fiber, tate_local on that fiber's model.  Only f_p is stored: the
-    minimal model belongs to one fiber.  A singular fiber raises
-    SingularFiberError, and a cofactor is handled as in `conductor`.
+    Each bad prime takes f_p by the module's local rule.  At 2 and 3,
+    `_small_prime_exponents` first gives f_p for a chunk of fibers at
+    once from c4(t), c6(t) and delta(t) mod 2^30 and mod 3^19.  c4(t)
+    and c6(t) are evaluated as integers only for a fiber with a bad
+    prime above 3 or one that the residues leave to the exact path
+    (v_p(c4(t)) or v_p(c6(t)) above K - 6, c4(t) or c6(t) = 0 for a
+    polynomial not identically 0, v_p(delta(t)) >= K, or a chunk with a
+    t beyond int64).  There f_p is 1 if p does not divide c4(t); 2 if
+    p > 3 and v_p(c4(t)) < 4 or v_p(c6(t)) < 6; else the f_p stored
+    under the fiber's local key (p, lam(c4(t)), lam(c6(t)),
+    v_p(delta(t))), with delta(t) = (c4(t)^3 - c6(t)^2) / 1728, or, on
+    the key's first fiber, tate_local on that fiber's model.  Both paths
+    share one dict of keys, so each key gets one Tate run per call.
+    Only f_p is stored: the minimal model belongs to one fiber.  A
+    singular fiber raises SingularFiberError, and a cofactor is handled
+    as in `conductor`.
     """
     inv = f.inv
     c4, c6 = inv["c4"], inv["c6"]
     f_local = {}  # local key -> f_p, for this call's fibers only
-    for t, fac in zip(ts, _factor_values(inv["D"], ts,
-                                         inv["delta"].content())):
-        t = int(t)
-        if fac is None:
-            f.specialize(t)  # raises SingularFiberError
-        c4t, c6t = c4.eval(t), c6.eval(t)
-        ai = delta = None
-        C = 1
-        for p in fac.prime_powers:
-            if c4t % p:
-                C *= p
-            elif p > 3 and (c4t % p ** 4 or c6t % p ** 6):
-                C *= p * p
-            else:
-                delta = delta or (c4t ** 3 - c6t ** 2) // 1728
-                key = (p, _local_class(c4t, p), _local_class(c6t, p),
-                       _vp(delta, p))
-                if key not in f_local:
-                    ai = ai or f.specialize(t)
-                    f_local[key] = tate_local(ai, p).f_p
-                C *= p ** f_local[key]
-        complete = fac.cofactor == 1
-        if not complete:
-            C *= fac.cofactor  # assumed square-free, multiplicative reduction
-        yield C, complete
+    facs = _factor_values(inv["D"], ts, inv["delta"].content())
+    for lo in range(0, len(ts), _RESIDUE_CHUNK):
+        chunk = ts[lo:lo + _RESIDUE_CHUNK]
+        small = _small_prime_exponents(f, chunk, f_local)
+        for i, (t, fac) in enumerate(zip(chunk, facs)):
+            t = int(t)
+            if fac is None:
+                f.specialize(t)  # raises SingularFiberError
+            c4t = ai = delta = None
+            C = 1
+            for p in fac.prime_powers:
+                if p <= 3 and small[p][i] >= 0:
+                    C *= p ** small[p][i]
+                    continue
+                if c4t is None:
+                    c4t, c6t = c4.eval(t), c6.eval(t)
+                if c4t % p:
+                    C *= p
+                elif p > 3 and (c4t % p ** 4 or c6t % p ** 6):
+                    C *= p * p
+                else:
+                    delta = delta or (c4t ** 3 - c6t ** 2) // 1728
+                    key = (p, _local_class(c4t, p), _local_class(c6t, p),
+                           _vp(delta, p))
+                    if key not in f_local:
+                        ai = ai or f.specialize(t)
+                        f_local[key] = tate_local(ai, p).f_p
+                    C *= p ** f_local[key]
+            complete = fac.cofactor == 1
+            if not complete:
+                C *= fac.cofactor  # assumed square-free, multiplicative
+            yield C, complete

@@ -82,6 +82,9 @@ def test_vals_mod_and_roots_mod_match_eval(name):
             m = p ** k
             vals = [P.eval(t) % m for t in range(m)]
             assert vals_mod(P, m, np.arange(m)).tolist() == vals, (p, k)
+            # content m: every coefficient vanishes mod m
+            zeros = vals_mod(m * P, m, np.arange(-m, m))
+            assert zeros.dtype == np.int64 and zeros.tolist() == [0] * 2 * m
             want = [t for t, v in enumerate(vals) if v == 0]
             assert roots_mod(P, p, k) == want, (p, k)
 
@@ -96,8 +99,12 @@ def test_vals_mod_largest_modulus(a, ts):
 
 @pytest.mark.parametrize("m", [0, -5, 2 ** 31, 2 ** 40])
 def test_vals_mod_refuses_modulus_out_of_range(m):
-    with pytest.raises(ValueError, match=r"1 <= m < 2\^31"):
-        vals_mod(poly(1, 1), m, np.arange(3))
+    # also when every coefficient vanishes mod m, which skips Horner
+    for P in (poly(1, 1), abs(m) * poly(1, 1)):
+        with pytest.raises(ValueError, match=r"1 <= m < 2\^31"):
+            vals_mod(P, m, np.arange(3))
+    with pytest.raises(OverflowError):  # x beyond int64, P = 0 mod 7
+        vals_mod(poly(0, 7), 7, [2 ** 63])
 
 
 @given(nonzero_polys, nonzero_polys)

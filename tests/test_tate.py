@@ -614,6 +614,51 @@ def test_conductors_nonminimal_family_falls_back_to_tate(monkeypatch):
     assert len(calls) == len(_tate_keys(f, ts)) < n_bad
 
 
+def test_conductors_exact_path_at_2_and_3(monkeypatch):
+    # fibers whose residues mod 2^30 and 3^19 cannot give the local key
+    # take the exact path; keys they share with residue-read fibers still
+    # get one Tate run.  F1-tate at 2^5 | 9t + 1: v_2(delta) >= 32, and
+    # at 2^8 | 9t + 1 also v_2(c6) > 24.  y^2 = x^3 + 3x + t: c4 = -144,
+    # c6 = -864t and delta = -432(t^2 + 4), so v_2(c6) = 5 + v_2(t) and
+    # v_3(c6) = 3 + v_3(t) pass K - 6 (24 and 13), where a residue keeps
+    # fewer than six digits of the unit part, while v_p(delta) stays
+    # small.  y^2 = x^3 + tx + 1: c4(0) = 0 on a nonsingular fiber.
+    f1 = load_family(F1_TATE)
+    windows = FamilyDef("windows", poly(), poly(), poly(), poly(3),
+                        poly(0, 1))
+    c4root = FamilyDef("c4root", poly(), poly(), poly(), poly(0, 1),
+                       poly(1))
+    cases = [
+        (f1, list(range(-60, 60)) + [199 + 256 * k for k in range(-20, 20)],
+         {2: lambda t: (9 * t + 1) % 2 ** 5 == 0}),
+        (windows, list(range(1, 30))
+         + [s * 2 ** e for e in range(20, 25) for s in range(1, 14)]
+         + [s * 3 ** e for e in range(11, 16) for s in range(1, 14)],
+         {2: lambda t: _vp(t, 2) >= 20, 3: lambda t: _vp(t, 3) >= 11}),
+        (c4root, [t for t in range(-30, 30) if c4root.delta_at(t) != 0],
+         {2: lambda t: t == 0, 3: lambda t: t == 0}),
+    ]
+    # residue chunks of 37 fibers: keys are shared across chunks too
+    monkeypatch.setattr(tate, "_RESIDUE_CHUNK", 37)
+    calls = _count_tate_local(monkeypatch)
+    for f, ts, must in cases:
+        small = tate._small_prime_exponents(f, ts, {})
+        for p, exact in must.items():
+            flagged = [t for t, e in zip(ts, small[p]) if e < 0]
+            assert flagged == [t for t in ts if exact(t)] != [], (f, p)
+        want = [conductor(f, t) for t in ts]
+        calls.clear()
+        assert list(conductors(f, ts)) == want, f
+        assert len(calls) == len(_tate_keys(f, ts)), f
+
+
+def test_conductors_t_beyond_int64():
+    f1 = get_family("F1")
+    t = _hard_f1_fiber()
+    ts = [-3, t, 1, -t, 2]
+    assert list(conductors(f1, ts)) == [conductor(f1, x) for x in ts]
+
+
 # -- the local key of `conductors`' Tate branch -------------------------------
 #
 # conductors stores f_p under (p, lam(c4), lam(c6), v_p(delta)), with
