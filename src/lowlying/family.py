@@ -303,19 +303,32 @@ def load_family(path) -> FamilyDef:
     "D": coeffs?}, "rank": int, "expected_conductor": coeffs or null}.
     Every coefficient, c, t0, B and rank must be a JSON integer: a float
     or a boolean is refused with its key named, not truncated or read as
-    0 or 1.  Other keys are ignored.
+    0 or 1.  A config of another shape (not an object, no string label,
+    a sign rule without a string kind, ...) is refused with its key named
+    too.  Other keys are ignored.
     """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    a = [IntPoly(_int_list("a", cs)) for cs in cfg["a"]]
-    if len(a) != 5:
-        raise ValueError(f"config 'a' must list 5 coefficient arrays, for "
-                         f"a1, a2, a3, a4, a6 (no a5 slot); got {len(a)}")
-    c, t0 = _int_list("reparam", cfg.get("reparam", [1, 0]))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, got "
+                         f"{type(cfg).__name__}")
+    if not isinstance(cfg.get("label"), str):
+        raise ValueError(f"config 'label' must be a string, got "
+                         f"{cfg.get('label')!r}")
+    a = cfg.get("a")
+    if not isinstance(a, list) or len(a) != 5:
+        raise ValueError(f"config 'a' must be a list of 5 coefficient arrays,"
+                         f" for a1, a2, a3, a4, a6 (no a5 slot); got "
+                         f"{len(a) if isinstance(a, list) else repr(a)}")
+    a = [IntPoly(_int_list("a", cs)) for cs in a]
+    c, t0 = _int_list("reparam", cfg.get("reparam", [1, 0]), n=2)
     a = _reparametrize(a, c, t0)
-    sr = cfg.get("sign_rule", {"kind": "Equidistributed"})
+    sr = cfg.get("sign_rule", "Equidistributed")
     if isinstance(sr, str):
         sr = {"kind": sr}
+    if not isinstance(sr, dict) or not isinstance(sr.get("kind"), str):
+        raise ValueError(f"config 'sign_rule' must be a kind or an object "
+                         f"with a string 'kind', got {sr!r}")
     D = sr.get("D")
     rule = SignRule(sr["kind"], IntPoly(_int_list("sign_rule.D", D))
                     if D else None)
@@ -337,9 +350,12 @@ def _int(key, x):
     return x
 
 
-def _int_list(key, xs):
-    """xs, refused unless it is a list of JSON integers."""
-    if not isinstance(xs, list) or any(type(x) is not int for x in xs):
-        raise ValueError(f"config {key!r} must be a list of integers, "
+def _int_list(key, xs, n=None):
+    """xs, refused unless it is a list of JSON integers, of length n if
+    n is given."""
+    if (not isinstance(xs, list) or any(type(x) is not int for x in xs)
+            or n is not None and len(xs) != n):
+        size = "" if n is None else f" {n}"
+        raise ValueError(f"config {key!r} must be a list of{size} integers, "
                          f"got {xs!r}")
     return xs

@@ -31,15 +31,15 @@ global densities for Weierstrass models of elliptic curves").  On the
 random models of tests/test_tate.py keys first disagree on f_p with the
 unit parts taken mod 2^3 and mod 3, so mod p^6 leaves a margin.
 
-At 2 and 3 the rule runs for up to 8,192 fibers at once: c4(t), c6(t)
-and delta(t) are taken mod p^K with numpy, K = 30 at 2 and 19 at 3 (the
-largest powers below 2^31); the valuations and unit parts mod p^6 are
-read off those residues, the fibers are grouped by key, and Tate runs
-once per new key.  A fiber whose residues are too short (v_p(c4(t)) or
-v_p(c6(t)) above K - 6, v_p(delta(t)) >= K, or c4(t) or c6(t) = 0 where
-the polynomial is not 0), or in a chunk with a t beyond int64, takes the
-exact path: c4(t) and c6(t) as integers, as at every p > 3.  Both paths
-share the dict of keys.
+At 2 and 3 the rule runs for up to 8,192 fibers at once: each t is
+reduced mod 2^30 3^19 < 2^61, c4(t), c6(t) and delta(t) are taken mod
+p^K with numpy, K = 30 at 2 and 19 at 3 (the largest powers below
+2^31); the valuations and unit parts mod p^6 are read off those
+residues, the fibers are grouped by key, and Tate runs once per new key.
+A fiber whose residues are too short (v_p(c4(t)) or v_p(c6(t)) above
+K - 6, v_p(delta(t)) >= K, or c4(t) or c6(t) = 0 where the polynomial is
+not 0) takes the rule on c4(t) and c6(t) as integers, `_exact_f`, as
+every p > 3 does.  Both share the dict of keys.
 
 `conductor(f, t)` runs `tate_local` at every bad prime of one fiber
 that `factorize` finds; it is the oracle of `conductors` in the tests.
@@ -452,6 +452,9 @@ _RESIDUE_CHUNK = 8 * _CHUNK
 # from: the largest p^K below 2^31, the bound of `vals_mod`
 _RESIDUE_EXP = {2: 30, 3: 19}
 
+# 2^30 3^19 < 2^61: every t, reduced mod it as a Python int, fits int64
+_RESIDUE_MOD = math.prod(p ** K for p, K in _RESIDUE_EXP.items())
+
 
 def _local_class(x: int, p: int):
     """(v_p(x), x / p^v_p(x) mod p^6), or None for x = 0."""
@@ -459,6 +462,30 @@ def _local_class(x: int, p: int):
         return None
     v = _vp(x, p)
     return v, x // p ** v % p ** _UNIT_DIGITS
+
+
+def _keyed_f(f: FamilyDef, t: int, key: tuple, f_local: dict) -> int:
+    """f_p stored in f_local under the local key (p, ...) of the fiber at
+    t, from `tate_local` on that fiber's model if the key is new."""
+    if key not in f_local:
+        f_local[key] = tate_local(f.specialize(t), key[0]).f_p
+    return f_local[key]
+
+
+def _exact_f(f: FamilyDef, t: int, p: int, c4t: int, c6t: int,
+             f_local: dict) -> int:
+    """f_p of the fiber at t, for a prime p dividing delta(t), by the
+    module's local rule on c4t = c4(t) and c6t = c6(t); raises
+    SingularFiberError where delta(t) = 0."""
+    if c4t % p:
+        return 1
+    if p > 3 and (c4t % p ** 4 or c6t % p ** 6):
+        return 2
+    delta = (c4t ** 3 - c6t ** 2) // 1728
+    if delta == 0:
+        raise SingularFiberError(f"{f.label}: singular fiber at t={t}")
+    key = (p, _local_class(c4t, p), _local_class(c6t, p), _vp(delta, p))
+    return _keyed_f(f, t, key, f_local)
 
 
 def _vp_unit(r: np.ndarray, p: int):
@@ -478,38 +505,35 @@ def _vp_unit(r: np.ndarray, p: int):
 
 
 def _small_prime_exponents(f: FamilyDef, ts, f_local: dict) -> dict:
-    """{p: f_p of each fiber of ts} for p = 2 and 3, read off c4(t),
-    c6(t) and delta(t) mod p^K with numpy; -1 marks the fibers left to
-    the exact path.
+    """{p: f_p of each fiber of ts} for p = 2 and 3, ts a list of ints.
 
-    f_p = 0 where p does not divide delta(t), and 1 where it does not
-    divide c4(t).  Elsewhere v_p and the unit part mod p^6 of a residue
+    Each t, of any size, is reduced mod 2^30 3^19, and c4(t), c6(t) and
+    delta(t) are taken mod p^K from those residues with numpy.  f_p = 0
+    where p does not divide delta(t), and 1 where it does not divide
+    c4(t).  Elsewhere v_p and the unit part mod p^6 of a residue
     r = x mod p^K equal those of x when v_p(r) <= K - 6, and v_p(delta)
-    needs only v_p(r) < K; the fiber's local key then comes from the
-    residues, the fibers are grouped by key, and `tate_local` runs on
-    the first fiber of each key not yet in f_local.  The residues cannot
-    decide a fiber where c4(t) or c6(t) has v_p > K - 6 or is 0 (for a
-    polynomial not identically 0) or where v_p(delta(t)) >= K; a t that
-    does not fit in int64 leaves every fiber of ts to the exact path.
+    needs only v_p(r) < K; such fibers are grouped by local key and take
+    f_p from `_keyed_f`.  The others (c4(t) or c6(t) with v_p > K - 6 or
+    equal to 0 for a polynomial not identically 0, or v_p(delta(t)) >= K)
+    take it from `_exact_f` on c4(t) and c6(t) as integers.
     """
-    inv = f.inv
-    try:
-        x = np.asarray(ts, dtype=np.int64)
-    except OverflowError:  # a t beyond int64: all of ts stays exact
-        return {p: [-1] * len(ts) for p in _RESIDUE_EXP}
+    c4, c6 = f.inv["c4"], f.inv["c6"]
+    x = np.array([t % _RESIDUE_MOD for t in ts], dtype=np.int64)
     out = {}
     for p, K in _RESIDUE_EXP.items():
         m = p ** K
-        rd = vals_mod(inv["delta"], m, x)
-        r4 = vals_mod(inv["c4"], m, x)
-        fp = np.where(rd % p != 0, 0, np.where(r4 % p != 0, 1, -1))
-        rest = np.flatnonzero(fp == -1)
+        rd = vals_mod(f.inv["delta"], m, x)
+        r4 = vals_mod(c4, m, x)
+        # 0 where p does not divide delta(t), else 1; the fibers of rest,
+        # where p also divides c4(t), get theirs below
+        fp = (rd % p == 0).astype(np.int64)
+        rest = np.flatnonzero(fp & (r4 % p == 0))
         rd, r4 = rd[rest], r4[rest]
-        r6 = vals_mod(inv["c6"], m, x[rest])
+        r6 = vals_mod(c6, m, x[rest])
         vd, _ = _vp_unit(rd, p)
         exact = rd == 0
         lams = []
-        for P, r in ((inv["c4"], r4), (inv["c6"], r6)):
+        for P, r in ((c4, r4), (c6, r6)):
             v, u = _vp_unit(r, p)
             if P.is_zero():  # lam = None: v = K, which no residue gives
                 v = np.full_like(r, K)
@@ -528,11 +552,11 @@ def _small_prime_exponents(f: FamilyDef, ts, f_local: dict) -> dict:
             key = (p, None if v4[i] == K else (int(v4[i]), int(u4[i])),
                    None if v6[i] == K else (int(v6[i]), int(u6[i])),
                    int(vd[i]))
-            if key not in f_local:
-                t = int(ts[keyed[i]])
-                f_local[key] = tate_local(f.specialize(t), p).f_p
-            f_key.append(f_local[key])
+            f_key.append(_keyed_f(f, ts[keyed[i]], key, f_local))
         fp[keyed] = np.array(f_key, dtype=np.int64)[which]
+        for i in rest[exact].tolist():
+            t = ts[i]
+            fp[i] = _exact_f(f, t, p, c4.eval(t), c6.eval(t), f_local)
         out[p] = fp.tolist()
     return out
 
@@ -543,54 +567,26 @@ def conductors(f: FamilyDef, ts):
     residues at 2 and 3, is held.
 
     The factorizations come from `_factor_values` and equal factorize's.
-    Each bad prime takes f_p by the module's local rule.  At 2 and 3,
-    `_small_prime_exponents` first gives f_p for a chunk of fibers at
-    once from c4(t), c6(t) and delta(t) mod 2^30 and mod 3^19.  c4(t)
-    and c6(t) are evaluated as integers only for a fiber with a bad
-    prime above 3 or one that the residues leave to the exact path
-    (v_p(c4(t)) or v_p(c6(t)) above K - 6, c4(t) or c6(t) = 0 for a
-    polynomial not identically 0, v_p(delta(t)) >= K, or a chunk with a
-    t beyond int64).  There f_p is 1 if p does not divide c4(t); 2 if
-    p > 3 and v_p(c4(t)) < 4 or v_p(c6(t)) < 6; else the f_p stored
-    under the fiber's local key (p, lam(c4(t)), lam(c6(t)),
-    v_p(delta(t))), with delta(t) = (c4(t)^3 - c6(t)^2) / 1728, or, on
-    the key's first fiber, tate_local on that fiber's model.  Both paths
-    share one dict of keys, so each key gets one Tate run per call.
-    Only f_p is stored: the minimal model belongs to one fiber.  A
-    singular fiber raises SingularFiberError, and a cofactor is handled
-    as in `conductor`.
+    f_2 and f_3 come from `_small_prime_exponents`, a chunk of fibers at
+    a time, and f_p at each bad p > 3 from `_exact_f` on c4(t) and c6(t)
+    as integers.  Both share one dict of local keys, so each key gets
+    one Tate run per call.  A singular fiber raises SingularFiberError,
+    and a cofactor is handled as in `conductor`.
     """
-    inv = f.inv
-    c4, c6 = inv["c4"], inv["c6"]
+    c4, c6 = f.inv["c4"], f.inv["c6"]
     f_local = {}  # local key -> f_p, for this call's fibers only
-    facs = _factor_values(inv["D"], ts, inv["delta"].content())
+    facs = _factor_values(f.inv["D"], ts, f.inv["delta"].content())
     for lo in range(0, len(ts), _RESIDUE_CHUNK):
-        chunk = ts[lo:lo + _RESIDUE_CHUNK]
+        chunk = [int(t) for t in ts[lo:lo + _RESIDUE_CHUNK]]
         small = _small_prime_exponents(f, chunk, f_local)
         for i, (t, fac) in enumerate(zip(chunk, facs)):
-            t = int(t)
             if fac is None:
                 f.specialize(t)  # raises SingularFiberError
-            c4t = ai = delta = None
+            c4t, c6t = c4.eval(t), c6.eval(t)
             C = 1
             for p in fac.prime_powers:
-                if p <= 3 and small[p][i] >= 0:
-                    C *= p ** small[p][i]
-                    continue
-                if c4t is None:
-                    c4t, c6t = c4.eval(t), c6.eval(t)
-                if c4t % p:
-                    C *= p
-                elif p > 3 and (c4t % p ** 4 or c6t % p ** 6):
-                    C *= p * p
-                else:
-                    delta = delta or (c4t ** 3 - c6t ** 2) // 1728
-                    key = (p, _local_class(c4t, p), _local_class(c6t, p),
-                           _vp(delta, p))
-                    if key not in f_local:
-                        ai = ai or f.specialize(t)
-                        f_local[key] = tate_local(ai, p).f_p
-                    C *= p ** f_local[key]
+                C *= p ** (small[p][i] if p <= 3 else
+                           _exact_f(f, t, p, c4t, c6t, f_local))
             complete = fac.cofactor == 1
             if not complete:
                 C *= fac.cofactor  # assumed square-free, multiplicative

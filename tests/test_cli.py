@@ -114,6 +114,18 @@ def test_directory_path_fails(capsys, tmp_path, where):
     assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
 
 
+def test_malformed_family_config_fails(capsys, tmp_path):
+    # "sign_rule": 5 ended in an AttributeError traceback, exit status 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"label": "bad", "sign_rule": 5,
+                                "a": [[0], [0], [0], [0], [1, 1]]}),
+                    encoding="utf-8")
+    status = main(["conductor", "--family", str(path), "--t-range", "1:2"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("error: config 'sign_rule' must be ")
+
+
 @pytest.mark.parametrize("pmax", ["4", "-1"])
 def test_moments_small_pmax_fails(capsys, pmax):
     status = main(["moments", "--family", "washington", "--pmax", pmax])

@@ -203,6 +203,38 @@ def test_load_family_rejects_non_integers(tmp_path, key, value):
         load_family(path)
 
 
+_MALFORMED = {
+    "top-level-list": (lambda c: [c], "config must be a JSON object, got list"),
+    "label-missing": (lambda c: {k: v for k, v in c.items() if k != "label"},
+                      "config 'label' must be a string, got None"),
+    "label-int": (lambda c: {**c, "label": 7},
+                  "config 'label' must be a string, got 7"),
+    "a-int": (lambda c: {**c, "a": 5},
+              "config 'a' must be a list of 5 coefficient arrays.*got 5"),
+    "a-missing": (lambda c: {k: v for k, v in c.items() if k != "a"},
+                  "config 'a' must be a list of 5 .*got None"),
+    "reparam-short": (lambda c: {**c, "reparam": [1]},
+                      r"config 'reparam' must be a list of 2 integers, got \[1\]"),
+    "sign_rule-int": (lambda c: {**c, "sign_rule": 5},
+                      "config 'sign_rule' must be .*got 5"),
+    "sign_rule-no-kind": (lambda c: {**c, "sign_rule": {"D": [1]}},
+                          "config 'sign_rule' must be .*'kind'"),
+    "sign_rule-kind-list": (lambda c: {**c, "sign_rule": {"kind": [1]}},
+                            "config 'sign_rule' must be .*'kind'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_load_family_rejects_malformed(tmp_path, case):
+    # each ended in a TypeError or AttributeError traceback, or in a bare
+    # KeyError or unpacking message
+    edit, match = _MALFORMED[case]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(edit(_f1_tate_config())), encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        load_family(path)
+
+
 def test_negative_rank_refused(tmp_path):
     # a rank of -1 was printed by `rank` and failed `density` only after
     # the sieve and the prime walk

@@ -614,12 +614,27 @@ def test_conductors_nonminimal_family_falls_back_to_tate(monkeypatch):
     assert len(calls) == len(_tate_keys(f, ts)) < n_bad
 
 
+def _spy_exact_f(monkeypatch):
+    """Record (t, p) of every call of `tate._exact_f`, the local rule on
+    c4(t) and c6(t) as integers."""
+    calls = []
+    real = tate._exact_f
+
+    def spy(f, t, p, *args):
+        calls.append((t, p))
+        return real(f, t, p, *args)
+
+    monkeypatch.setattr(tate, "_exact_f", spy)
+    return calls
+
+
 def test_conductors_exact_path_at_2_and_3(monkeypatch):
     # fibers whose residues mod 2^30 and 3^19 cannot give the local key
-    # take the exact path; keys they share with residue-read fibers still
-    # get one Tate run.  F1-tate at 2^5 | 9t + 1: v_2(delta) >= 32, and
-    # at 2^8 | 9t + 1 also v_2(c6) > 24.  y^2 = x^3 + 3x + t: c4 = -144,
-    # c6 = -864t and delta = -432(t^2 + 4), so v_2(c6) = 5 + v_2(t) and
+    # take the local rule on c4(t) and c6(t) as integers; keys they share
+    # with residue-read fibers still get one Tate run.  F1-tate at
+    # 2^5 | 9t + 1: v_2(delta) >= 32, and at 2^8 | 9t + 1 also
+    # v_2(c6) > 24.  y^2 = x^3 + 3x + t: c4 = -144, c6 = -864t and
+    # delta = -432(t^2 + 4), so v_2(c6) = 5 + v_2(t) and
     # v_3(c6) = 3 + v_3(t) pass K - 6 (24 and 13), where a residue keeps
     # fewer than six digits of the unit part, while v_p(delta) stays
     # small.  y^2 = x^3 + tx + 1: c4(0) = 0 on a nonsingular fiber.
@@ -641,22 +656,45 @@ def test_conductors_exact_path_at_2_and_3(monkeypatch):
     # residue chunks of 37 fibers: keys are shared across chunks too
     monkeypatch.setattr(tate, "_RESIDUE_CHUNK", 37)
     calls = _count_tate_local(monkeypatch)
+    exact_calls = _spy_exact_f(monkeypatch)
     for f, ts, must in cases:
-        small = tate._small_prime_exponents(f, ts, {})
-        for p, exact in must.items():
-            flagged = [t for t, e in zip(ts, small[p]) if e < 0]
-            assert flagged == [t for t in ts if exact(t)] != [], (f, p)
         want = [conductor(f, t) for t in ts]
         calls.clear()
+        exact_calls.clear()
         assert list(conductors(f, ts)) == want, f
         assert len(calls) == len(_tate_keys(f, ts)), f
+        # each fiber the residues cannot decide, once per occurrence in ts
+        for p in (2, 3):
+            flagged = sorted(t for t, q in exact_calls if q == p)
+            exact = sorted(t for t in ts if p in must and must[p](t))
+            assert flagged == exact, (f, p)
+            assert (exact != []) == (p in must), (f, p)
 
 
-def test_conductors_t_beyond_int64():
+def test_conductors_t_beyond_int64(monkeypatch):
     f1 = get_family("F1")
     t = _hard_f1_fiber()
     ts = [-3, t, 1, -t, 2]
-    assert list(conductors(f1, ts)) == [conductor(f1, x) for x in ts]
+    want = [conductor(f1, x) for x in ts]
+    exact_calls = _spy_exact_f(monkeypatch)
+    assert list(conductors(f1, ts)) == want
+    # the residues decide f_2 and f_3 of the fibers beyond int64 too
+    assert not [(x, p) for x, p in exact_calls if p <= 3 and abs(x) == t]
+
+
+@pytest.mark.parametrize("name", ["F1", "washington", F1_TATE],
+                         ids=lambda n: getattr(n, "name", n))
+@pytest.mark.parametrize("t0", [2 ** 63, -2 ** 63], ids=["+2^63", "-2^63"])
+def test_conductors_around_int64_bounds(name, t0, monkeypatch):
+    # numpy reads list(range(2^63 - 8, 2^63 + 8)) as float64, so a
+    # conversion that infers the dtype would give wrong residues here.
+    # One rho seed: both sides leave the same hard cofactors (washington's
+    # 38-digit D(t)), and f_2, f_3 do not depend on them
+    monkeypatch.setattr(tate, "_RHO_SEEDS", 1)
+    f = _family(name)
+    ts = [t for t in range(t0 - 8, t0 + 8) if f.delta_at(t) != 0]
+    assert len(ts) == 16
+    assert list(conductors(f, ts)) == [conductor(f, t) for t in ts]
 
 
 # -- the local key of `conductors`' Tate branch -------------------------------

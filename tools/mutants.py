@@ -1,0 +1,119 @@
+"""Re-run the mutation checks of the fast paths.
+
+Each entry of MUTANTS names a file under src/lowlying, an exact source
+substitution, and the tests that must fail once it is applied.  For each
+entry the script copies src/ to a temporary directory, applies the
+substitution there (the checkout is never touched), and runs the tests
+with plain pytest in a child process whose import path puts the copy
+first, as tests/conftest.py's src_env does.  It prints "killed" when the
+tests fail, "survived" when they pass, and exits nonzero if any entry
+survived or could not be run (its substitution no longer matches, or
+pytest did not get to run the tests).
+
+    python3 tools/mutants.py            # every entry
+    python3 tools/mutants.py NAME ...   # the named entries only
+
+Not collected by pytest: the suite's testpaths is tests/.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> (file under src/lowlying, old source, new source, test ids)
+MUTANTS = {
+    # the residue pass must leave a fiber to the exact rule where a
+    # residue keeps fewer than six digits of the unit part, not only
+    # where it is 0
+    "residue-flag-only-zero": (
+        "tate.py",
+        "exact |= (r == 0) | (v > K - _UNIT_DIGITS)",
+        "exact |= (r == 0)",
+        ["tests/test_tate.py::test_conductors_exact_path_at_2_and_3"]),
+    # unit parts mod 2^3 do not fix f_2
+    "unit-digits-3": (
+        "tate.py",
+        "_UNIT_DIGITS = 6",
+        "_UNIT_DIGITS = 3",
+        ["tests/test_tate.py::test_local_key_determines_f_p"]),
+    # 10007 * 10009 < 10^9 is composite: only parts below 10^8 are prime
+    # without a test
+    "split-remainder-1e9": (
+        "tate.py",
+        "if m < 10 ** 8 or is_prime(m):",
+        "if m < 10 ** 9 or is_prime(m):",
+        ["tests/test_tate.py::test_factorize_prime_powers_and_cofactors"]),
+    # v_(j+k) = -v_j: the second half of the tiled exponent table
+    "ap-table-sign": (
+        "modarith.py",
+        "v + [-a for a in v]",
+        "v + v",
+        ["tests/test_modarith.py::test_ap_table_matches_pointwise"]),
+    # Horner on an unreduced x overflows int64
+    "vals-mod-unreduced-x": (
+        "polyint.py",
+        "    x = x % m\n",
+        "",
+        ["tests/test_polyint.py::test_vals_mod_largest_modulus",
+         "tests/test_tate.py::test_conductors_around_int64_bounds"]),
+    # numpy reads ints around 2^63 as float64 or object: t must be
+    # reduced as a Python int before the int64 array is built
+    "residues-inferred-dtype": (
+        "tate.py",
+        "np.array([t % _RESIDUE_MOD for t in ts], dtype=np.int64)",
+        "np.asarray(ts) % _RESIDUE_MOD",
+        ["tests/test_tate.py::test_conductors_around_int64_bounds"]),
+}
+
+
+def run(name: str) -> str:
+    """'killed', 'survived', or 'error: ...' for one entry of MUTANTS."""
+    fname, old, new, tests = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "lowlying" / fname
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return f"error: {old!r} occurs {text.count(old)} times in {fname}"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        # -o pythonpath: pyproject.toml would put the checkout's src first
+        p = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "-o", f"pythonpath={src}", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    if p.returncode == 0:
+        return "survived"
+    if p.returncode == 1:
+        return "killed"
+    return f"error: pytest exit status {p.returncode}\n{p.stdout[-2000:]}"
+
+
+def main(argv: list) -> int:
+    names = argv or list(MUTANTS)
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants {unknown}; known: {list(MUTANTS)}",
+              file=sys.stderr)
+        return 2
+    bad = 0
+    for name in names:
+        verdict = run(name)
+        print(f"{name}: {verdict}", flush=True)
+        bad += verdict != "killed"
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
