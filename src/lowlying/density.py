@@ -81,15 +81,23 @@ def log_conductors(f: FamilyDef, ts):
 
     Otherwise the one route is `tate.conductors` over the whole set; its
     docstring and the `tate` module's state the exponent rule.
+
+    A fiber with |C(t)| <= 1 raises ValueError, on either route: log C
+    would be undefined, or at most 0, so that the prime cutoff
+    int(C^sigma) + 1 admits no prime.  Only a conductor polynomial can
+    give one; every conductor from Tate has a bad prime.
     """
     ts = np.asarray(ts, dtype=np.int64)
     if f.expected_conductor is not None:
-        vals = np.array([math.log(abs(f.expected_conductor.eval(int(t))))
-                         for t in ts])
-        return vals, 0
+        Cs = ((abs(f.expected_conductor.eval(int(t))), True) for t in ts)
+    else:
+        Cs = conductors(f, ts)
     out = np.empty(ts.size)
     incomplete = 0
-    for i, (C, complete) in enumerate(conductors(f, ts)):
+    for i, (C, complete) in enumerate(Cs):
+        if C <= 1:
+            raise ValueError(
+                f"{f.label}: conductor |C({int(ts[i])})| = {C}, not > 1")
         if not complete:
             incomplete += 1
         out[i] = math.log(C)

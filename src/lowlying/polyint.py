@@ -76,8 +76,6 @@ class IntPoly:
 
     def __mul__(self, other):
         other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -121,13 +119,12 @@ class IntPoly:
         return acc
 
     def content(self):
-        """GCD of the coefficients (nonnegative)."""
-        return math.gcd(*self.coeffs) if self.coeffs else 0
+        """GCD of the coefficients (nonnegative); gcd() = 0 for the zero
+        polynomial."""
+        return math.gcd(*self.coeffs)
 
     def primitive(self):
         """Primitive part with positive leading coefficient."""
-        if self.is_zero():
-            return self
         g = self.content()
         sign = 1 if self.leading() > 0 else -1
         return IntPoly([sign * c // g for c in self.coeffs])
@@ -243,12 +240,11 @@ def radical(p: IntPoly) -> IntPoly:
     """Primitive square-free part, positive leading coefficient.
 
     Every irreducible factor of p divides the result exactly once;
-    constant content is dropped.
+    constant content is dropped, so a nonzero constant gives 1: its
+    derivative is 0, and gcd(c, 0) is the primitive 1.
     """
     if p.is_zero():
         raise ValueError("radical of zero polynomial")
-    if p.is_constant():
-        return IntPoly([1])
     g = gcd(p, p.derivative())
     if g.is_constant():
         return p.primitive()
@@ -264,11 +260,10 @@ def rational_roots(f: IntPoly):
     Candidates come from the floating-point roots rho of f: a root a/b
     has b | lc(f), so lc(f) rho is an integer near the float.  Each is
     accepted only if sum c_i a^i b^(d-i) = 0 in integers, so a root the
-    floats miss stays in G, and no accepted root is wrong.
+    floats miss stays in G, and no accepted root is wrong.  A constant f
+    has no float roots, so it gives ([], f).
     """
     d, lc = f.degree, f.leading()
-    if d < 1:
-        return [], f
     try:
         rhos = np.roots([float(c) for c in reversed(f.coeffs)])
     except OverflowError:  # coefficients beyond float range

@@ -111,14 +111,26 @@ def _transform(ai, r, s, t, u=1):
     return (a1n, a2n, a3n, a4n, a6n)
 
 
+def _double_root(a3t: int, a6t: int, p: int) -> int:
+    """The double root of Y^2 + a3t Y - a6t mod p, for p dividing its
+    discriminant a3t^2 + 4 a6t: a6t mod 2 at p = 2, else -a3t / 2."""
+    return a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
+
+
 def tate_local(ai, p: int) -> LocalData:
     """Local reduction data at p by Tate's algorithm, at every prime.
 
     Each coordinate change is in closed form (Cremona, Algorithms for
     Modular Elliptic Curves, 3.2; Silverman, Advanced Topics, IV.9).
-    A model that is not minimal at p is rescaled by u = p and restarted.
+    The singular point of an additive model moves to (0, 0) by x -> x + r,
+    y -> y + t with r = -b2 / 12 mod p (r = -b6 mod 3 at p = 3) and one
+    formula t = -(a1 r + a3) / 2 mod p at every odd p; at p = 3 it is
+    a1 r + a3, as 1/2 = -1 mod 3.  At p = 2, r = a4 and t = r^3 + a2 r^2
+    + a4 r + a6 mod 2.  A model that is not minimal at p is rescaled by
+    u = p and restarted.
     """
     ai = tuple(int(x) for x in ai)
+    h = (p + 1) // 2  # 1/2 mod p for odd p
     while True:
         b2, b4, b6, b8, c4, c6, delta = _bc_invariants(*ai)
         if delta == 0:
@@ -133,16 +145,12 @@ def tate_local(ai, p: int) -> LocalData:
         if p == 2:
             r = a4 % 2
             t = (((r + a2) * r + a4) * r + a6) % 2
-        elif p == 3:
-            r = -b6 % 3
-            t = (a1 * r + a3) % 3
         else:
-            r = -b2 * pow(12, -1, p) % p
-            t = -(a1 * r + a3) * pow(2, -1, p) % p
-        if r or t:
-            ai = _transform(ai, r, 0, t)
-            b2, b4, b6, b8, c4, c6, delta = _bc_invariants(*ai)
-            a1, a2, a3, a4, a6 = ai
+            r = -b6 % 3 if p == 3 else -b2 * pow(12, -1, p) % p
+            t = -(a1 * r + a3) * h % p
+        ai = _transform(ai, r, 0, t)
+        b2, b4, b6, b8, c4, c6, delta = _bc_invariants(*ai)
+        a1, a2, a3, a4, a6 = ai
         if a6 % p ** 2 != 0:
             return LocalData(p, n, "Additive", "II", ai)
         if b8 % p ** 3 != 0:
@@ -152,8 +160,7 @@ def tate_local(ai, p: int) -> LocalData:
         # make p | a1, a2; p^2 | a3, a4; p^3 | a6
         if p == 2:
             s, t = a2 % 2, 2 * (a6 // 4 % 2)
-        else:
-            h = (p + 1) // 2  # 1/2 mod p; p | a3, so a3 + 2t = -p a3
+        else:  # p | a3, so a3 + 2t = -p a3
             s, t = -a1 * h, -a3 * h
         ai = _transform(ai, 0, s, t)
         a1, a2, a3, a4, a6 = ai
@@ -177,12 +184,7 @@ def tate_local(ai, p: int) -> LocalData:
                 a6t = a6 // (mx * my)
                 if (a3t * a3t + 4 * a6t) % p != 0:
                     break
-                # double root of Y^2 + a3t Y - a6t mod p
-                if p == 2:
-                    y1 = a6t % p
-                else:
-                    y1 = (-a3t * pow(2, -1, p)) % p
-                ai = _transform(ai, 0, 0, my * y1)
+                ai = _transform(ai, 0, 0, my * _double_root(a3t, a6t, p))
                 a1, a2, a3, a4, a6 = ai
                 my *= p
                 iy += 1
@@ -210,11 +212,7 @@ def tate_local(ai, p: int) -> LocalData:
         a6t = a6 // p ** 4
         if (a3t * a3t + 4 * a6t) % p != 0:
             return LocalData(p, n - 6, "Additive", "IV*", ai)
-        if p == 2:
-            y1 = a6t % p
-        else:
-            y1 = (-a3t * pow(2, -1, p)) % p
-        ai = _transform(ai, 0, 0, p * p * y1)
+        ai = _transform(ai, 0, 0, p * p * _double_root(a3t, a6t, p))
         a1, a2, a3, a4, a6 = ai
         if a4 % p ** 4 != 0:
             return LocalData(p, n - 7, "Additive", "III*", ai)
@@ -242,9 +240,11 @@ _RHO_SEEDS = 64
 def _brent(n: int, seed: int = 1) -> int:
     """Brent's cycle variant of Pollard rho; returns a nontrivial factor
     of composite n, or n on failure for this seed (including when the
-    cycle length would pass _BRENT_MAX_R)."""
-    if n % 2 == 0:
-        return 2
+    cycle length would pass _BRENT_MAX_R).
+
+    n must be odd and have no prime factor below 10^4, as every part that
+    `_split_remainder` passes here has.
+    """
     y, c, m = seed % n, seed % n + 1, 128
     g, r, q = 1, 1, 1
     x = ys = 0
@@ -352,7 +352,7 @@ def _factor_values(P: IntPoly, ts, content: int = 1):
     remainder, and the product goes through factorize's later stage.
     So prime powers, cofactor and completeness equal factorize's.
     """
-    cfac = factorize(content) if content != 1 else Factorization(1)
+    cfac = factorize(content)
     c_small = {p: e for p, e in cfac.prime_powers.items() if p < _TRIAL}
     c_rest = content // math.prod(p ** e for p, e in c_small.items())
     roots = {}  # p -> the residues t mod p with P(t) = 0 mod p

@@ -126,6 +126,24 @@ def test_malformed_family_config_fails(capsys, tmp_path):
     assert captured.err.startswith("error: config 'sign_rule' must be ")
 
 
+@pytest.mark.parametrize("ec, t, C", [([-15000, 1], 15000, 0),
+                                      ([1], 10000, 1)])
+def test_density_conductor_at_most_one_fails(capsys, tmp_path, ec, t, C):
+    # C(t) = 0 ended in "error: math domain error"; C = 1 exited 0 with
+    # D1 = ghat(0) + g(0), as the cutoff int(C^sigma) + 1 = 2 admits no prime
+    path = tmp_path / "ec.json"
+    path.write_text(json.dumps({"label": "bad", "rank": 0,
+                                "a": [[0], [0], [0], [0],
+                                      [-432, -7776, -34992]],
+                                "expected_conductor": ec}),
+                    encoding="utf-8")
+    status = main(["density", "--family", str(path), "--N", "10000",
+                   "--testfn", "fejer:0.3"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: bad: conductor |C({t})| = {C}, not > 1\n"
+
+
 @pytest.mark.parametrize("pmax", ["4", "-1"])
 def test_moments_small_pmax_fails(capsys, pmax):
     status = main(["moments", "--family", "washington", "--pmax", pmax])

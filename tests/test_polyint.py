@@ -22,6 +22,10 @@ def test_eval_examples():
     assert poly(1, 9).eval(1) == 10
     assert poly(13, 60, 144).eval(0) == 13
     assert (4 * poly(1, 6) ** 3 + 27).eval(0) == 31
+    # the zero polynomial: no terms to add, no coefficients to divide
+    assert IntPoly() * poly(1, 2) == IntPoly() == poly(1, 2) * IntPoly()
+    assert IntPoly().content() == 0
+    assert IntPoly().primitive() == IntPoly()
 
 
 def test_gcd_examples():
@@ -36,6 +40,8 @@ def test_radical_examples():
     assert radical(IntPoly([-432]) ** 3 * poly(1, 9) ** 4) == poly(1, 9)
     assert radical(poly(-5, 1)) == poly(-5, 1)
     assert radical(poly(-1, 1) ** 2 * poly(2, 1)) == poly(-1, 1) * poly(2, 1)
+    for c in (1, -7, 12):  # gcd(c, c' = 0) is the primitive 1
+        assert radical(IntPoly([c])) == IntPoly([1])
 
 
 def test_compose_affine():

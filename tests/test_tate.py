@@ -27,6 +27,7 @@ KNOWN = [
     ((0, 1, 0, 4, 4), {2: 2, 5: 1}),          # 20a1
     ((0, -1, 0, -4, 4), {2: 3, 3: 1}),        # 24a1
     ((0, 0, 1, 0, -7), {3: 3}),               # 27a1
+    ((0, 0, 0, 0, -432), {2: 0, 3: 3}),       # 27a1: r = t = 0 at 3
     ((0, 0, 0, 4, 0), {2: 5}),                # 32a1
     ((0, 0, 0, 0, 1), {2: 2, 3: 2}),          # 36a1
     ((0, 0, 1, -1, 0), {37: 1}),              # 37a1

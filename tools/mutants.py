@@ -70,6 +70,46 @@ MUTANTS = {
         "np.array([t % _RESIDUE_MOD for t in ts], dtype=np.int64)",
         "np.asarray(ts) % _RESIDUE_MOD",
         ["tests/test_tate.py::test_conductors_around_int64_bounds"]),
+    # g^2 is never a primitive root, so the power table misses half the
+    # residues
+    "primitive-root-squared": (
+        "modarith.py",
+        "            return a\n",
+        "            return a * a % p\n",
+        ["tests/test_modarith.py::test_ap_table_matches_pointwise"]),
+    # the coefficient rule only saves work: the pointwise values stay
+    # right without it, but the zero table must come before any chi
+    "coefficient-rule-off": (
+        "modarith.py",
+        "    if ((p % 3 != 1 and",
+        "    if False and ((p % 3 != 1 and",
+        ["tests/test_modarith.py::test_ap_table_zero_cm_class_builds_no_chi"]),
+    # A = 0 mod p gives a zero table only where p = 2 mod 3
+    "coefficient-rule-any-p": (
+        "modarith.py",
+        "(p % 3 != 1 and not any(c % p for c in Apoly.coeffs))",
+        "(not any(c % p for c in Apoly.coeffs))",
+        ["tests/test_modarith.py::test_ap_table_matches_pointwise"]),
+    # A_2 sums the squares of a_t(p)
+    "moments-a2-unsquared": (
+        "modarith.py",
+        "int((tab * tab).sum())",
+        "int(tab.sum())",
+        ["tests/test_modarith.py::test_moment_methods_agree"]),
+    # the double root of Y^2 + a3t Y - a6t is -a3t / 2, not a3t / 2
+    "double-root-sign": (
+        "tate.py",
+        "-a3t * ((p + 1) // 2) % p",
+        "a3t * ((p + 1) // 2) % p",
+        ["tests/test_tate.py::test_tate_local_invariant_under_coordinate_change",
+         "tests/test_tate.py::test_local_key_determines_f_p"]),
+    # t = -(a1 r + a3) / 2 moves the singular point to y = 0, at p = 3 too
+    "singular-point-t-sign": (
+        "tate.py",
+        "t = -(a1 * r + a3) * h % p",
+        "t = (a1 * r + a3) * h % p",
+        ["tests/test_tate.py::test_known_conductor_exponents",
+         "tests/test_tate.py::test_tate_local_invariant_under_coordinate_change"]),
 }
 
 
