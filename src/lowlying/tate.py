@@ -4,10 +4,13 @@ One routine, `tate_local`, runs Tate's algorithm at every prime, 2 and 3
 included, with each coordinate change in closed form and a restart on
 non-minimal models.
 
-`conductors(f, ts)` is the one route for a set of fibers.  It factors
-content(delta) D(t) for every t by one sieve over the small primes,
-with the same prime powers and cofactor as `factorize`.  Each bad prime
-p takes its exponent from c4(t) and c6(t) by one local rule:
+`conductors(f, ts)` is the one route for a set of fibers.  It reads
+f_2 and f_3 of every fiber off residues (below), with f_p = 0 where p
+does not divide delta(t), so 2 and 3 need no factorization.  The bad
+primes above 3 are those of D(t), factored for every t by one sieve
+over the small primes with the same prime powers and cofactor as
+`factorize`, and those of content(delta), factored once per call.  Each
+bad prime p takes its exponent from c4(t) and c6(t) by one local rule:
 
 - p does not divide c4(t): the model is minimal at p and the reduction
   multiplicative, so f_p = 1, at every p, 2 and 3 included;
@@ -339,29 +342,24 @@ def _split_remainder(n: int, powers: dict) -> int:
 _CHUNK = 1024
 
 
-def _factor_values(P: IntPoly, ts, content: int = 1):
-    """Yield factorize(|content * P(t)|) for each t of the sequence ts in
-    order, or None where P(t) = 0, from one sieve instead of a trial loop
-    per t.
+def _factor_values(P: IntPoly, ts):
+    """Yield factorize(|P(t)|) for each t of the sequence ts in order, or
+    None where P(t) = 0, from one sieve instead of a trial loop per t.
 
     The trial primes are those up to min(10^4, isqrt(max |P(t)|)) over a
     chunk of _CHUNK values of t; the t whose P(t) a prime p divides are
     read off P(t mod p) mod p with numpy.  What is left of P(t) is then
     1, a prime, or free of primes below 10^4, as after factorize's trial
-    loop.  content is factorized once; its part above 10^4 joins each
-    remainder, and the product goes through factorize's later stage.
-    So prime powers, cofactor and completeness equal factorize's.
+    loop, and goes through factorize's later stage.  So prime powers,
+    cofactor and completeness equal factorize's.
     """
-    cfac = factorize(content)
-    c_small = {p: e for p, e in cfac.prime_powers.items() if p < _TRIAL}
-    c_rest = content // math.prod(p ** e for p, e in c_small.items())
     roots = {}  # p -> the residues t mod p with P(t) = 0 mod p
 
     for lo in range(0, len(ts), _CHUNK):
         chunk = [int(t) for t in ts[lo:lo + _CHUNK]]
         vals = [P.eval(t) for t in chunk]
         rest = [abs(v) for v in vals]
-        powers = [dict(c_small) for _ in chunk]
+        powers = [{} for _ in chunk]
         try:
             arr = np.array(chunk, dtype=np.int64)
         except OverflowError:  # t beyond int64: reduce Python ints
@@ -390,17 +388,8 @@ def _factor_values(P: IntPoly, ts, content: int = 1):
                     pw[p] = pw.get(p, 0) + e
                     rest[i] = v
         for val, v, pw in zip(vals, rest, powers):
-            if val == 0:
-                yield None
-                continue
-            # a prime the full trial loop would find; left in v, it could
-            # make c_rest * v a composite below 10^8, which
-            # _split_remainder takes for a prime
-            if 1 < v < _TRIAL:
-                pw[v] = pw.get(v, 0) + 1
-                v = 1
-            yield Factorization(abs(content * val), pw,
-                                _split_remainder(c_rest * v, pw))
+            yield (Factorization(abs(val), pw, _split_remainder(v, pw))
+                   if val else None)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -504,8 +493,9 @@ def _vp_unit(r: np.ndarray, p: int):
     return v, u % p ** _UNIT_DIGITS
 
 
-def _small_prime_exponents(f: FamilyDef, ts, f_local: dict) -> dict:
-    """{p: f_p of each fiber of ts} for p = 2 and 3, ts a list of ints.
+def _conductor_at_2_and_3(f: FamilyDef, ts, f_local: dict) -> list:
+    """2^f_2 3^f_3 of each fiber of ts, ts a list of ints: the part of its
+    conductor at 2 and 3, whether or not 2 or 3 divides content(delta).
 
     Each t, of any size, is reduced mod 2^30 3^19, and c4(t), c6(t) and
     delta(t) are taken mod p^K from those residues with numpy.  f_p = 0
@@ -519,7 +509,7 @@ def _small_prime_exponents(f: FamilyDef, ts, f_local: dict) -> dict:
     """
     c4, c6 = f.inv["c4"], f.inv["c6"]
     x = np.array([t % _RESIDUE_MOD for t in ts], dtype=np.int64)
-    out = {}
+    part = np.ones_like(x)
     for p, K in _RESIDUE_EXP.items():
         m = p ** K
         rd = vals_mod(f.inv["delta"], m, x)
@@ -557,37 +547,43 @@ def _small_prime_exponents(f: FamilyDef, ts, f_local: dict) -> dict:
         for i in rest[exact].tolist():
             t = ts[i]
             fp[i] = _exact_f(f, t, p, c4.eval(t), c6.eval(t), f_local)
-        out[p] = fp.tolist()
-    return out
+        part *= p ** fp
+    return part.tolist()
 
 
 def conductors(f: FamilyDef, ts):
     """Yield conductor(f, t) for each t of the sequence ts, from one sieve
-    of content(delta) D(t); only a chunk of factorizations, and one of
-    residues at 2 and 3, is held.
+    of D(t); only a chunk of factorizations, and one of residues at 2 and
+    3, is held.
 
-    The factorizations come from `_factor_values` and equal factorize's.
-    f_2 and f_3 come from `_small_prime_exponents`, a chunk of fibers at
-    a time, and f_p at each bad p > 3 from `_exact_f` on c4(t) and c6(t)
-    as integers.  Both share one dict of local keys, so each key gets
-    one Tate run per call.  A singular fiber raises SingularFiberError,
-    and a cofactor is handled as in `conductor`.
+    Each C(t) starts from 2^f_2 3^f_3, which `_conductor_at_2_and_3`
+    gives for a chunk of fibers at a time.  The bad primes above 3 are
+    those of D(t), from `_factor_values`, and those of content(delta),
+    factorized once per call; f_p at each comes from `_exact_f` on c4(t)
+    and c6(t) as integers.  Both share one dict of local keys, so each
+    key gets one Tate run per call.  A singular fiber raises
+    SingularFiberError.  The cofactors of content(delta) and D(t)
+    multiply into C as in `conductor`.
     """
     c4, c6 = f.inv["c4"], f.inv["c6"]
     f_local = {}  # local key -> f_p, for this call's fibers only
-    facs = _factor_values(f.inv["D"], ts, f.inv["delta"].content())
+    cfac = factorize(f.inv["delta"].content())
+    c_primes = [p for p in cfac.prime_powers if p > 3]
+    facs = _factor_values(f.inv["D"], ts)
     for lo in range(0, len(ts), _RESIDUE_CHUNK):
         chunk = [int(t) for t in ts[lo:lo + _RESIDUE_CHUNK]]
-        small = _small_prime_exponents(f, chunk, f_local)
-        for i, (t, fac) in enumerate(zip(chunk, facs)):
+        parts = _conductor_at_2_and_3(f, chunk, f_local)
+        for t, C, fac in zip(chunk, parts, facs):
             if fac is None:
                 f.specialize(t)  # raises SingularFiberError
             c4t, c6t = c4.eval(t), c6.eval(t)
-            C = 1
             for p in fac.prime_powers:
-                C *= p ** (small[p][i] if p <= 3 else
-                           _exact_f(f, t, p, c4t, c6t, f_local))
-            complete = fac.cofactor == 1
-            if not complete:
-                C *= fac.cofactor  # assumed square-free, multiplicative
-            yield C, complete
+                if p > 3:
+                    C *= p ** _exact_f(f, t, p, c4t, c6t, f_local)
+            for p in c_primes:
+                if p not in fac.prime_powers:
+                    C *= p ** _exact_f(f, t, p, c4t, c6t, f_local)
+            cofactor = cfac.cofactor * fac.cofactor
+            if cofactor != 1:
+                C *= cofactor  # assumed square-free, multiplicative
+            yield C, cofactor == 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,49 @@ def test_moments_washington(capsys):
     body = strip_stamp(out).splitlines()
     assert body[0] == "p,A1,A2,A1_closed,A2_closed,match"
     assert all(row.endswith("true") for row in body[1:])
+
+
+def test_moments_closed_forms_need_the_presets_short_model(capsys,
+                                                           tmp_path):
+    # a config labelled F1 with washington's model was compared with F1's
+    # closed forms by its label alone: match false on every row
+    w = get_family("washington")
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"label": "F1", "a": [
+        list(getattr(w, a).coeffs) for a in ("a1", "a2", "a3", "a4", "a6")]}),
+        encoding="utf-8")
+    status, out = run(capsys, "moments", "--family", str(path),
+                      "--pmax", "60")
+    assert status == 0
+    rows = [r.split(",") for r in strip_stamp(out).splitlines()[1:]]
+    status, ref = run(capsys, "moments", "--family", "washington",
+                      "--pmax", "60")
+    assert [r[:3] for r in rows] == [
+        r.split(",")[:3] for r in strip_stamp(ref).splitlines()[1:]]
+    assert rows and all(r[3:] == ["", "", "false"] for r in rows)
+    # F1's own model under the label F1 keeps the closed forms
+    f1_tate = Path(__file__).resolve().parents[1] / "perfbench"
+    status, out = run(capsys, "moments", "--family",
+                      str(f1_tate / "F1-tate.json"),
+                      "--pmax", "60")
+    assert status == 0
+    rows = [r.split(",") for r in strip_stamp(out).splitlines()[1:]]
+    assert rows and all(r[3] == "0" and r[5] == "true" for r in rows)
+
+
+def test_predict_plot_csv(capsys, tmp_path):
+    path = tmp_path / "w1.csv"
+    status, _ = run(capsys, "predict", "--plot-csv", str(path))
+    assert status == 0
+    lines = strip_stamp(path.read_text(encoding="utf-8")).splitlines()
+    assert lines[0] == "x,W1_SOeven,W1_O,W1_SOodd,W1_Sp,W1_U"
+    rows = lines[1:]
+    assert len(rows) == 501
+    assert rows[0].split(",")[0] == "-5" and rows[-1].split(",")[0] == "5"
+    assert rows[250] == "0,2,1,0,0,1"
+    status = main(["predict", "--plot-csv", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert status == 2 and str(tmp_path) in captured.err
 
 
 def test_conductor_csv(capsys):

@@ -424,23 +424,22 @@ def _hard_f1_fiber():
     return (q1 * q2 - 1) // 9
 
 
-def _sieve_oracle(P, ts, content=1):
-    return [factorize(abs(content * P.eval(t))) if P.eval(t) else None
-            for t in ts]
+def _sieve_oracle(P, ts):
+    return [factorize(abs(P.eval(t))) if P.eval(t) else None for t in ts]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES,
                          ids=lambda n: getattr(n, "name", n))
 def test_factor_values_match_factorize(name):
     f = _family(name)
-    D, content = f.inv["D"], f.inv["delta"].content()
+    D = f.inv["D"]
     if name == "rank6":  # 100-digit values: a few fibers, two incomplete
         ts = [-4, -2, 2, 3, 0]
     else:
         ts = (list(range(-40, 41))
               + enumerate_good(f, 2000).good_t[:400].tolist())
-    got = list(tate._factor_values(D, ts, content))
-    assert got == _sieve_oracle(D, ts, content)
+    got = list(tate._factor_values(D, ts))
+    assert got == _sieve_oracle(D, ts)
     for fac in got:  # prime powers, cofactor and n, not just equality
         assert fac is None or fac.n == math.prod(
             p ** e for p, e in fac.prime_powers.items()) * fac.cofactor
@@ -448,29 +447,26 @@ def test_factor_values_match_factorize(name):
         assert sum(fac.cofactor != 1 for fac in got) == 2
 
 
-def test_factor_values_incomplete_and_large_content(monkeypatch):
+def test_factor_values_incomplete_and_small_values(monkeypatch):
     # the hard semiprime of test_conductor_incomplete_with_default_budget,
-    # with t beyond int64 next to small and negative t
+    # with t beyond int64 next to small and negative t; values below 10^4
+    # whose sieve bound stops short of 10^4, zeros, and a polynomial with
+    # content 6 (every t hits p = 2, 3); with no rho seeds every composite
+    # remainder stays whole
     f1 = get_family("F1")
     t = _hard_f1_fiber()
-    ts = [-3, t, 1, -t, 2]
-    got = list(tate._factor_values(f1.inv["D"], ts, 2 ** 12 * 3 ** 9))
-    assert got == _sieve_oracle(f1.inv["D"], ts, 2 ** 12 * 3 ** 9)
-    assert got[1].cofactor == 9 * t + 1 and got[3].cofactor == 1
-    # content with primes above 10^4 (one a 10^8-ish composite rho splits),
-    # values below 10^4 whose sieve bound stops short of 10^4, zeros,
-    # and a polynomial with content 6 (every t hits p = 2, 3); with no
-    # rho seeds every composite remainder stays whole, so a prime below 10^4 must
-    # be taken out of it as factorize's trial loop does
-    q = 10007 * 10009
-    ts = list(range(-60, 200))
-    for P, content in ((poly(0, 1), q), (poly(0, 1), 10007 ** 2 * 12),
-                       (poly(5, 0, 1), q), (poly(6, 12), 1),
-                       (poly(-36, 0, 1), 5 * q)):
-        for seeds in (64, 0):
-            monkeypatch.setattr(tate, "_RHO_SEEDS", seeds)
-            assert list(tate._factor_values(P, ts, content)) == \
-                _sieve_oracle(P, ts, content), (P, content, seeds)
+    small = list(range(-60, 200))
+    cases = [(f1.inv["D"], [-3, t, 1, -t, 2])] + [
+        (P, small) for P in (poly(0, 1), poly(5, 0, 1), poly(6, 12),
+                             poly(-36, 0, 1))]
+    for seeds in (64, 0):
+        monkeypatch.setattr(tate, "_RHO_SEEDS", seeds)
+        for P, ts in cases:
+            got = list(tate._factor_values(P, ts))
+            assert got == _sieve_oracle(P, ts), (P, seeds)
+            if P == f1.inv["D"]:
+                assert got[1].cofactor == 9 * t + 1
+                assert (got[3].cofactor == 1) == (seeds > 0)
 
 
 def _model_key(ai, p):
@@ -553,6 +549,10 @@ def test_conductors_random_families():
     # c4 != 0 with an additive factor t and a multiplicative one 4t + 27
     fams.append(FamilyDef("shared", poly(), poly(), poly(), poly(0, 1),
                           poly(0, 1)))
+    # y^2 = x^3 + 10007 (t + 1): content(delta) = 432 10007^2 has a prime
+    # above 10^4 that D = t + 1 need not share
+    fams.append(FamilyDef("content10007", poly(), poly(), poly(), poly(),
+                          poly(10007, 10007)))
     kinds = set()
     for f in fams:
         D, c4 = f.inv["D"], f.inv["c4"]

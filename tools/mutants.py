@@ -110,6 +110,28 @@ MUTANTS = {
         "t = (a1 * r + a3) * h % p",
         ["tests/test_tate.py::test_known_conductor_exponents",
          "tests/test_tate.py::test_tate_local_invariant_under_coordinate_change"]),
+    # the content-prime loop adds the primes above 3 that D(t) lacks;
+    # those it has are already in D(t)'s factorization
+    "content-prime-twice": (
+        "tate.py",
+        "if p not in fac.prime_powers:",
+        "if p in fac.prime_powers:",
+        ["tests/test_tate.py::test_conductors_match_conductor"]),
+    # f_3 comes from the residue pass whole: taken again from D(t), 3^f_3
+    # would multiply in twice
+    "d-primes-from-3": (
+        "tate.py",
+        "            for p in fac.prime_powers:\n                if p > 3:",
+        "            for p in fac.prime_powers:\n                if p > 2:",
+        ["tests/test_tate.py::test_conductors_match_conductor"]),
+    # a t with D(t) = 0 is singular and leaves the good set, also where
+    # no prime is sieved
+    "singular-fiber-kept": (
+        "sqsieve.py",
+        "ts = ts[~zero]",
+        "ts = ts",
+        ["tests/test_sqsieve.py::"
+         "test_singular_fiber_dropped_when_no_prime_is_sieved"]),
 }
 
 
