@@ -295,12 +295,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.out == "-":
-            return args.fn(args, sys.stdout)
+        # the payload is written only once the command has returned, so a
+        # command that fails part way prints nothing on stdout
         buf = io.StringIO()
         status = args.fn(args, buf)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        if args.out == "-":
+            sys.stdout.write(buf.getvalue())
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(buf.getvalue())
         return status
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, in quotes

@@ -63,34 +63,30 @@ class FamilyDef:
             raise ValueError(f"exceptional square B must be >= 1, got {self.B}")
         if self.rank < 0:
             raise ValueError(f"rank must be >= 0, got {self.rank}")
-        inv = invariants(self)
-        object.__setattr__(self, "_inv", inv)
+        # inv: the dict of `invariants`, fixed by the frozen coefficients
+        object.__setattr__(self, "inv", invariants(self))
 
     # -- derived data ------------------------------------------------------
-
-    @property
-    def inv(self):
-        return self._inv
 
     @property
     def abc_flag(self):
         """True when an irreducible factor of the discriminant may have
         degree >= 4, making the sieve cardinality ABC-conditional: the
         cofactor rational_roots(D) leaves has degree >= 4."""
-        D = self._inv["D"]
+        D = self.inv["D"]
         # the cofactor's degree is at most deg D; a D of degree < 4 needs
         # no np.roots, whose eigenvalue solver adds to a run's peak RSS
         return D.degree >= 4 and rational_roots(D)[1].degree >= 4
 
     def specialize(self, t):
         """Integer Weierstrass coefficients of the fiber at integer t."""
-        if self._inv["delta"].eval(t) == 0:
+        if self.inv["delta"].eval(t) == 0:
             raise SingularFiberError(f"{self.label}: singular fiber at t={t}")
         return (self.a1.eval(t), self.a2.eval(t), self.a3.eval(t),
                 self.a4.eval(t), self.a6.eval(t))
 
     def delta_at(self, t):
-        return self._inv["delta"].eval(t)
+        return self.inv["delta"].eval(t)
 
 
 def _bc_invariants(a1, a2, a3, a4, a6):

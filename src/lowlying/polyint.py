@@ -44,8 +44,6 @@ class IntPoly:
     def __eq__(self, other):
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (IntPoly([other]).coeffs)
         return NotImplemented
 
     def __hash__(self):
@@ -71,15 +69,10 @@ class IntPoly:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(out)
@@ -246,8 +239,6 @@ def radical(p: IntPoly) -> IntPoly:
     if p.is_zero():
         raise ValueError("radical of zero polynomial")
     g = gcd(p, p.derivative())
-    if g.is_constant():
-        return p.primitive()
     # primitive gcd divides the primitive part exactly over Z (Gauss)
     return divexact(p.primitive(), g).primitive()
 

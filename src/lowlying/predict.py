@@ -176,8 +176,7 @@ def primesum_check(C_N: int, g: TestFn, a: int = 1, m: int = 1, b: int = 0):
     logC = math.log(C_N)
     pmax = prime_cutoff(logC, g.sigma / a)
     ps = np.asarray(primes_upto(pmax), dtype=np.int64)
-    if m > 1:
-        ps = ps[ps % m == b % m]
+    ps = ps[ps % m == b % m]
     ps = ps.astype(np.float64)
     logp = np.log(ps)
     terms = (logp / ps) * g.fhat(a * logp / logC) / logC

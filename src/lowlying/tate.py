@@ -180,7 +180,7 @@ def tate_local(ai, p: int) -> LocalData:
             r = c if p == 2 else (b * c - 9 * d) * pow(2 * x, -1, p)
             ai = _transform(ai, p * (r % p), 0, 0)
             a1, a2, a3, a4, a6 = ai
-            ix, iy = 3, 3
+            m = 1
             mx, my = p * p, p * p
             while True:
                 a3t = a3 // my
@@ -190,7 +190,7 @@ def tate_local(ai, p: int) -> LocalData:
                 ai = _transform(ai, 0, 0, my * _double_root(a3t, a6t, p))
                 a1, a2, a3, a4, a6 = ai
                 my *= p
-                iy += 1
+                m += 1
                 a2t = a2 // p
                 a4t = a4 // (p * mx)
                 a6t = a6 // (mx * my)
@@ -204,8 +204,7 @@ def tate_local(ai, p: int) -> LocalData:
                 ai = _transform(ai, mx * x1, 0, 0)
                 a1, a2, a3, a4, a6 = ai
                 mx *= p
-                ix += 1
-            m = ix + iy - 5
+                m += 1
             return LocalData(p, n - 4 - m, "Additive", f"I{m}*", ai)
         # triple root: translate it to zero
         r = b if p == 2 else -d if p == 3 else -b * pow(3, -1, p)
@@ -423,10 +422,8 @@ def conductor(f: FamilyDef, t: int):
     C = 1
     for p in sorted(fac.prime_powers):
         C *= p ** tate_local(ai, p).f_p
-    complete = fac.cofactor == 1
-    if not complete:
-        C *= fac.cofactor  # assumed square-free, multiplicative reduction
-    return C, complete
+    C *= fac.cofactor  # assumed square-free, multiplicative reduction
+    return C, fac.cofactor == 1
 
 
 # p-adic digits of the unit parts of c4 and c6 in the local key
@@ -584,6 +581,5 @@ def conductors(f: FamilyDef, ts):
                 if p not in fac.prime_powers:
                     C *= p ** _exact_f(f, t, p, c4t, c6t, f_local)
             cofactor = cfac.cofactor * fac.cofactor
-            if cofactor != 1:
-                C *= cofactor  # assumed square-free, multiplicative
+            C *= cofactor  # assumed square-free, multiplicative
             yield C, cofactor == 1

@@ -10,6 +10,7 @@ from conftest import src_env
 from lowlying import density
 from lowlying.cli import main
 from lowlying.family import get_family
+from lowlying.modarith import nagao_estimate
 
 
 def run(capsys, *argv):
@@ -71,9 +72,22 @@ def test_predict_plot_csv(capsys, tmp_path):
     assert len(rows) == 501
     assert rows[0].split(",")[0] == "-5" and rows[-1].split(",")[0] == "5"
     assert rows[250] == "0,2,1,0,0,1"
+    # a directory fails before any payload reaches stdout
     status = main(["predict", "--plot-csv", str(tmp_path)])
     captured = capsys.readouterr()
     assert status == 2 and str(tmp_path) in captured.err
+    assert captured.out == ""
+
+
+def test_out_file_holds_the_stdout_payload(capsys, tmp_path):
+    argv = ["sieve", "--family", "F1", "--N", "100"]
+    status, out = run(capsys, *argv)
+    assert status == 0
+    path = tmp_path / "sieve.txt"
+    status = main(["--out", str(path), *argv])
+    captured = capsys.readouterr()
+    assert status == 0 and captured.out == "" and captured.err == ""
+    assert strip_stamp(path.read_text(encoding="utf-8")) == strip_stamp(out)
 
 
 def test_conductor_csv(capsys):
@@ -116,6 +130,17 @@ def test_sieve_json(capsys):
     json_part = payload[payload.index("{"):]
     obj = json.loads(json_part)
     assert obj["N"] == 100 and obj["good_count"] > 50
+
+
+def test_rank_json(capsys):
+    status, out = run(capsys, "rank", "--family", "washington", "--X", "2000")
+    assert status == 0
+    obj = json.loads(strip_stamp(out))
+    assert obj["nagao_estimate"] == nagao_estimate(get_family("washington"),
+                                                   2000)
+    assert obj["claimed_rank"] == 1
+    assert obj["rank_scaled_target"] == (obj["claimed_rank"]
+                                         * obj["theta_over_X"])
 
 
 def test_predict_json(capsys):
@@ -358,8 +383,13 @@ def test_verify_kernels_determinism_across_threads():
 
 
 def test_verify_kernels_small(capsys):
-    status, out = run(capsys, "verify-kernels", "--testfn", "fejer:0.9",
-                      "--testfn2", "fejer:0.45")
-    assert status == 0
-    rows = strip_stamp(out).splitlines()[1:]
-    assert len(rows) == 10 and all(r.endswith("true") for r in rows)
+    # without --testfn2 the 2-level pair is g at half its sigma
+    outs = []
+    for extra in (("--testfn2", "fejer:0.45"), ()):
+        status, out = run(capsys, "verify-kernels", "--testfn", "fejer:0.9",
+                          *extra)
+        assert status == 0
+        outs.append(strip_stamp(out))
+        rows = outs[-1].splitlines()[1:]
+        assert len(rows) == 10 and all(r.endswith("true") for r in rows)
+    assert outs[0] == outs[1]

@@ -1,15 +1,20 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lowlying import density
+from lowlying import density, tate
 from lowlying.density import (d1_empirical, d2_empirical, densities,
                               log_conductors, s_sums, _s_sum_arrays)
-from lowlying.family import SignRule, get_family
+from lowlying.family import SignRule, get_family, load_family
 from lowlying.modarith import ap_table, prime_cutoff, primes_upto
+from lowlying.sqsieve import enumerate_good
+from lowlying.tate import conductor
 from lowlying.testfn import make_fejer, make_smooth_bump, product_fn
+
+F1_TATE = Path(__file__).resolve().parents[1] / "perfbench" / "F1-tate.json"
 
 
 def test_s_sums_dual_route():
@@ -194,6 +199,23 @@ def test_d2_one_ap_table_per_prime(monkeypatch):
     monkeypatch.setattr(density, "ap_table", counting)
     d2_empirical(get_family("F1"), 200, make_fejer(0.15), make_fejer(0.1))
     assert seen and len(seen) == len(set(seen))
+
+
+def test_log_conductors_tate_route(monkeypatch):
+    # no conductor polynomial: the logs of the Tate conductors, bit for bit
+    f = load_family(F1_TATE)
+    ts = enumerate_good(f, 300).good_t
+    logC, incomplete = log_conductors(f, ts)
+    assert ts.size == 208 and incomplete == 0
+    assert logC.tolist() == [math.log(conductor(f, int(t))[0]) for t in ts]
+    # without rho, every rank6 fiber keeps a cofactor and counts once
+    monkeypatch.setattr(tate, "_RHO_SEEDS", 0)
+    f = get_family("rank6")
+    ts = list(range(-6, 6))
+    want = [conductor(f, t) for t in ts]
+    logC, incomplete = log_conductors(f, ts)
+    assert incomplete == sum(not c for _, c in want) == 12
+    assert logC.tolist() == [math.log(C) for C, _ in want]
 
 
 def test_d2_computes_log_conductors_once(monkeypatch):

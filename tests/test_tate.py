@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowlying.family import (DegenerateFamilyError, FamilyDef,
+from lowlying.family import (DegenerateFamilyError, FamilyDef, SignRule,
                              SingularFiberError, _bc_invariants, get_family,
                              load_family, sign)
 from lowlying.modarith import a_p_enumerate, chi_table, is_prime, primes_upto
@@ -328,11 +328,20 @@ def test_rescales_nonminimal_model_with_a2():
 FE_X = (1.1, 1.2)
 FE_TOL = 1e-8
 
+# y^2 = x^3 + 4(2t+1)x: D(t) = 2t+1 is odd, so the quartic rule's w_2 flips
+# where D(t) = 1, 3, 11 or 13 mod 16; on the presets D(t) = 2 mod 4, so it
+# never flips
+QUARTIC_ODD = FamilyDef("quartic-odd", *[poly()] * 3, poly(4, 8), poly(),
+                        sign_rule=SignRule("BirchStephensQuartic", poly(1, 2)))
+
 # washington and rank1 fibers, whose stated conductor polynomials disagree
-# with Tate's algorithm, and good F1 and F2plus fibers as controls.
+# with Tate's algorithm, good F1 and F2plus fibers as controls, and
+# quartic-odd at D(t) = 1, 3, 13 and 11 mod 16.
 FE_FIBERS = [("washington", -1), ("washington", 0), ("washington", 1),
              ("rank1", -1), ("rank1", 0), ("rank1", 1),
-             ("F1", 1), ("F1", 2), ("F2plus", 0), ("F2plus", 1)]
+             ("F1", 1), ("F1", 2), ("F2plus", 0), ("F2plus", 1),
+             ("quartic-odd", 0), ("quartic-odd", 1), ("quartic-odd", -2),
+             ("quartic-odd", -3)]
 
 
 def _a_p(ai, p):
@@ -382,7 +391,7 @@ def _fe_defects(f, t, N):
 
 @pytest.mark.parametrize("label,t", FE_FIBERS)
 def test_functional_equation(label, t):
-    f = get_family(label)
+    f = QUARTIC_ODD if label == QUARTIC_ODD.label else get_family(label)
     N, complete = conductor(f, t)
     assert complete
     defects = _fe_defects(f, t, N)

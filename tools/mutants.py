@@ -132,6 +132,25 @@ MUTANTS = {
         "ts = ts",
         ["tests/test_sqsieve.py::"
          "test_singular_fiber_dropped_when_no_prime_is_sieved"]),
+    # a Tate-route fiber counts as incomplete only where it left a
+    # cofactor
+    "log-conductors-complete-counted": (
+        "density.py",
+        "if not complete:",
+        "if complete:",
+        ["tests/test_density.py::test_log_conductors_tate_route"]),
+    # verify-kernels' default 2-level pair is g at half its sigma
+    "kernels-default-testfn2-third": (
+        "cli.py",
+        "g1.sigma / 2",
+        "g1.sigma / 3",
+        ["tests/test_cli.py::test_verify_kernels_small"]),
+    # w_2 of the quartic rule flips at D = 13 mod 16 too
+    "quartic-w2-misses-13": (
+        "family.py",
+        "(1, 3, 11, 13)",
+        "(1, 3, 11)",
+        ["tests/test_tate.py::test_functional_equation"]),
 }
 
 
