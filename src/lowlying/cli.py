@@ -10,6 +10,7 @@ keys.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -19,13 +20,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import density as density_mod
-from . import predict as predict_mod
 from .family import PRESETS, get_family, load_family
-from .modarith import (MomentTable, closed_form_moments, nagao_estimate,
-                       primes_upto)
-from .sqsieve import enumerate_good
-from .tate import conductors
 from .testfn import make_testfn
 
 
@@ -74,8 +69,11 @@ CONDITIONALITY_NOTE = (
 
 
 # -- subcommands -----------------------------------------------------------
+# Each command imports the layers it runs, so a process loads only those.
 
 def cmd_moments(args, out):
+    from .modarith import MomentTable, closed_form_moments
+
     if args.pmax < 5:  # the table starts at p = 5
         raise ValueError(f"pmax must be at least 5, the first prime above "
                          f"3, got {args.pmax}")
@@ -98,6 +96,8 @@ def cmd_moments(args, out):
 
 
 def cmd_rank(args, out):
+    from .modarith import nagao_estimate, primes_upto
+
     f = _family(args)
     X = args.X
     est = nagao_estimate(f, X)
@@ -112,6 +112,8 @@ def cmd_rank(args, out):
 
 
 def cmd_conductor(args, out):
+    from .tate import conductors
+
     f = _family(args)
     lo, hi = args.t_range
     ts = [t for t in range(lo, hi + 1) if f.delta_at(t) != 0]
@@ -125,6 +127,8 @@ def cmd_conductor(args, out):
 
 
 def cmd_sieve(args, out):
+    from .sqsieve import enumerate_good
+
     f = _family(args)
     rep = enumerate_good(f, args.N, d_max=args.d_max, exact=args.exact)
     rows = [[d, v] for d, v in sorted(rep.nu_table.items())]
@@ -142,61 +146,66 @@ def _report_dict(rep):
 
 
 def cmd_density(args, out):
+    from .density import densities
+
     f = _family(args)
     g1 = make_testfn(args.testfn)
     g2 = make_testfn(args.testfn2) if args.testfn2 else None
     mode = {"percurve": "PerCurve", "avglog": "AverageLogConductor"}[args.mode]
-    _, rep1, rep2 = density_mod.densities(f, args.N, g1, g2, mode=mode)
+    _, rep1, rep2 = densities(f, args.N, g1, g2, mode=mode)
     _emit_json(out, _report_dict(rep2 or rep1))
     return 0
 
 
 def cmd_predict(args, out):
+    from .predict import GROUPS, predict_d1, predict_d2, w1_ac
+
     g1 = make_testfn(args.testfn)
     obj = {"testfn": [g1.kind, g1.sigma], "rank": args.rank}
     if args.testfn2:
         g2 = make_testfn(args.testfn2)
         obj["testfn2"] = [g2.kind, g2.sigma]
-        obj["d2"] = predict_mod.predict_d2(g1, g2, args.rank)
+        obj["d2"] = predict_d2(g1, g2, args.rank)
     else:
-        obj["d1"] = predict_mod.predict_d1(g1, args.rank)
+        obj["d1"] = predict_d1(g1, args.rank)
     _emit_json(out, obj)
     if args.plot_csv:
         import numpy as np
 
-        with open(args.plot_csv, "w", encoding="utf-8", newline="") as fh:
-            xs = np.linspace(-5.0, 5.0, 501)
-            rows = [[x] + [float(w) for w in predict_mod.w1_ac(x).values()]
-                    for x in xs]
-            _emit_csv(fh, ["x"] + [f"W1_{g}" for g in predict_mod.GROUPS],
-                      rows)
+        xs = np.linspace(-5.0, 5.0, 501)
+        rows = [[x] + [float(w) for w in w1_ac(x).values()] for x in xs]
+        args.files[args.plot_csv] = plot = io.StringIO()
+        _emit_csv(plot, ["x"] + [f"W1_{g}" for g in GROUPS], rows)
     return 0
 
 
 def cmd_verify_kernels(args, out):
+    from .predict import GROUPS, kernel_crosscheck
+
     g1 = make_testfn(args.testfn)
     g2a = make_testfn(args.testfn2 or
                       f"{g1.kind}:{min(0.45, g1.sigma / 2)}")
     rows = []
     for level, res, tol in (
-            ("1-level", predict_mod.kernel_crosscheck(g1), 1e-6),
-            ("2-level", predict_mod.kernel_crosscheck(g2a, g2a), 1e-4)):
-        rows += [[grp, level, res[grp], res[grp] <= tol]
-                 for grp in predict_mod.GROUPS]
+            ("1-level", kernel_crosscheck(g1), 1e-6),
+            ("2-level", kernel_crosscheck(g2a, g2a), 1e-4)):
+        rows += [[grp, level, res[grp], res[grp] <= tol] for grp in GROUPS]
     _emit_csv(out, ["group", "level", "residual", "ok"], rows)
     return 0 if all(row[3] for row in rows) else 1
 
 
 def cmd_report(args, out):
+    from .density import P_MIN, densities
+
     f = _family(args)
     g1 = make_testfn(args.testfn)
     g2 = make_testfn(args.testfn2) if args.testfn2 else None
-    sieve, rep, rep2 = density_mod.densities(f, args.N, g1, g2)
+    sieve, rep, rep2 = densities(f, args.N, g1, g2)
     best = min(rep.residuals, key=lambda k: (rep.residuals[k], k))
     obj = {
         "config": {
             "family": args.family, "N": args.N, "testfn": args.testfn,
-            "p_min": density_mod.P_MIN,
+            "p_min": P_MIN,
         },
         "sieve": {"good_count": rep.n_curves,
                   "c_F_estimate": sieve.c_F_estimate},
@@ -295,15 +304,23 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        # the payload is written only once the command has returned, so a
-        # command that fails part way prints nothing on stdout
+        # A command renders its payload into buf and any other file into
+        # args.files.  No file is written until the command has returned
+        # and every file is open, and stdout comes last, so a command or
+        # an open that fails writes no payload anywhere.  Append mode
+        # leaves the files opened before a failing open as they were.
         buf = io.StringIO()
+        args.files = {} if args.out == "-" else {args.out: buf}
         status = args.fn(args, buf)
+        with contextlib.ExitStack() as stack:
+            opened = [(stack.enter_context(open(path, "a", encoding="utf-8",
+                                                newline="")), text)
+                      for path, text in args.files.items()]
+            for fh, text in opened:
+                fh.truncate(0)
+                fh.write(text.getvalue())
         if args.out == "-":
             sys.stdout.write(buf.getvalue())
-        else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(buf.getvalue())
         return status
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message, in quotes

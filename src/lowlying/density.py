@@ -36,7 +36,6 @@ from .family import FamilyDef, n_minus as family_n_minus
 from .modarith import a_p, ap_table, prime_cutoff, primes_upto
 from .predict import predict_d1, predict_d2
 from .sqsieve import enumerate_good
-from .tate import conductors
 from .testfn import TestFn, product_fn
 
 P_MIN = 5  # the prime sums run over p > P_MIN
@@ -91,6 +90,8 @@ def log_conductors(f: FamilyDef, ts):
     if f.expected_conductor is not None:
         Cs = ((abs(f.expected_conductor.eval(int(t))), True) for t in ts)
     else:
+        from .tate import conductors
+
         Cs = conductors(f, ts)
     out = np.empty(ts.size)
     incomplete = 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .polyint import IntPoly, poly, radical, rational_roots
@@ -181,6 +180,8 @@ def n_minus(f: FamilyDef, good_t) -> Fraction:
     sign computed per fiber.  A Birch-Stephens rule's D(t) values are
     factorized by one sieve over the whole set.
     """
+    from fractions import Fraction  # it loads decimal too
+
     rule = f.sign_rule
     if rule.kind == "Equidistributed":
         return Fraction(1, 2)

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .modarith import prime_cutoff, primes_upto
 from .testfn import TestFn, functionals, panel_grid, quad_panels
 
 GROUPS = ("SOeven", "O", "SOodd", "Sp", "U")
@@ -170,6 +169,8 @@ def primesum_check(C_N: int, g: TestFn, a: int = 1, m: int = 1, b: int = 0):
     Returns (value, target, gap).  C_N < 10^3, a < 1, m < 1 and a cutoff
     above 10^9 raise ValueError.
     """
+    from .modarith import prime_cutoff, primes_upto
+
     if C_N < 1000 or a < 1 or m < 1:
         raise ValueError(f"need C_N >= 10^3, a >= 1 and m >= 1, got "
                          f"C_N = {C_N}, a = {a}, m = {m}")

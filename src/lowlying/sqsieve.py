@@ -24,7 +24,6 @@ import numpy as np
 from .family import FamilyDef
 from .modarith import PRIME_LIMIT, primes_upto
 from .polyint import IntPoly, roots_mod, vals_mod
-from .tate import _factor_values, factorize
 
 
 class ZeroDensityError(ValueError):
@@ -37,6 +36,8 @@ def nu(D: IntPoly, d: int) -> int:
     Multiplicative over the primes of d (CRT), so only the per-prime
     counts are computed.
     """
+    from .tate import factorize
+
     if d < 1:
         raise ValueError("d must be a positive square-free integer")
     fac = factorize(d)
@@ -130,6 +131,8 @@ def enumerate_good(f: FamilyDef, N: int, d_max: int | None = None,
     ts = ts[~zero]
     excess = 0
     if exact:
+        from .tate import _factor_values
+
         keep = []
         for t, fac in zip(ts.tolist(), _factor_values(D, ts)):
             sq = any(e >= 2 for p, e in fac.prime_powers.items() if B % p != 0)

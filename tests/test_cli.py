@@ -77,6 +77,50 @@ def test_predict_plot_csv(capsys, tmp_path):
     captured = capsys.readouterr()
     assert status == 2 and str(tmp_path) in captured.err
     assert captured.out == ""
+    # and an --out that fails leaves no plot behind
+    plot = tmp_path / "w1-unwritten.csv"
+    status = main(["--out", str(tmp_path), "predict", "--plot-csv", str(plot)])
+    captured = capsys.readouterr()
+    assert status == 2 and str(tmp_path) in captured.err
+    assert captured.out == "" and not plot.exists()
+
+
+_BASE = {"cli", "family", "polyint", "testfn"}
+_DENSITY = _BASE | {"density", "modarith", "predict", "sqsieve"}
+
+
+@pytest.mark.parametrize("argv, layers, fractions", [
+    (["verify-kernels"], _BASE | {"predict"}, False),
+    (["predict"], _BASE | {"predict"}, False),
+    (["moments", "--family", "rank6", "--pmax", "100"],
+     _BASE | {"modarith"}, False),
+    (["rank", "--family", "washington", "--X", "2000"],
+     _BASE | {"modarith"}, False),
+    (["sieve", "--family", "F1", "--N", "300"],
+     _BASE | {"modarith", "sqsieve"}, False),
+    (["sieve", "--family", "F1", "--N", "300", "--exact"],
+     _BASE | {"modarith", "sqsieve", "tate"}, False),
+    (["report", "--family", "F1", "--N", "1000", "--testfn", "fejer:0.3"],
+     _DENSITY, False),
+    (["conductor", "--family", "F1", "--t-range", "1:5"],
+     _BASE | {"modarith", "tate"}, False),
+], ids=["verify-kernels", "predict", "moments", "rank", "sieve", "sieve-exact",
+        "report", "conductor"])
+def test_commands_load_only_their_layers(argv, layers, fractions):
+    # a fresh process: each command imports the layers it runs, and only
+    # n_minus needs fractions (which loads decimal too)
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from lowlying import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = cli.main({argv!r})",
+        "print(code, sorted(m[9:] for m in sys.modules",
+        "                   if m.startswith('lowlying.')))",
+        "print('fractions' in sys.modules)"])
+    p = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == [f"0 {sorted(layers)}", str(fractions)]
 
 
 def test_out_file_holds_the_stdout_payload(capsys, tmp_path):

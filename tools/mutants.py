@@ -151,6 +151,28 @@ MUTANTS = {
         "(1, 3, 11, 13)",
         "(1, 3, 11)",
         ["tests/test_tate.py::test_functional_equation"]),
+    # a command loads only the layers it runs: the Tate route of
+    # log_conductors imports tate, a 1-level report with a conductor
+    # polynomial never does
+    "density-imports-tate": (
+        "density.py",
+        "from .sqsieve import enumerate_good\n",
+        "from .sqsieve import enumerate_good\nfrom .tate import conductors\n",
+        ["tests/test_cli.py::test_commands_load_only_their_layers[report]"]),
+    # only primesum_check needs modarith, and verify-kernels never calls it
+    "predict-imports-modarith": (
+        "predict.py",
+        "from .testfn import",
+        "from .modarith import prime_cutoff\nfrom .testfn import",
+        ["tests/test_cli.py::"
+         "test_commands_load_only_their_layers[verify-kernels]"]),
+    # fractions loads decimal too; only n_minus needs it
+    "family-imports-fractions": (
+        "family.py",
+        "from typing import Optional\n",
+        "from typing import Optional\nfrom fractions import Fraction\n",
+        ["tests/test_cli.py::"
+         "test_commands_load_only_their_layers[verify-kernels]"]),
 }
 
 
