@@ -51,7 +51,7 @@ def _emit_csv(out, header, rows):
 
 def _emit_json(out, obj):
     _stamp(out)
-    json.dump(obj, out, sort_keys=True, indent=2, default=fmt)
+    json.dump(obj, out, sort_keys=True, indent=2)
     out.write("\n")
 
 

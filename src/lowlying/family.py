@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Rational  # numpy loads numbers already
 from typing import Optional
 
 from .polyint import IntPoly, poly, radical, rational_roots
@@ -171,7 +172,7 @@ def _birch_stephens(kind, Dval, fac):
     return eps
 
 
-def n_minus(f: FamilyDef, good_t) -> Fraction:
+def n_minus(f: FamilyDef, good_t) -> Rational:
     """Exact fraction of odd-sign fibers among the given good t values.
 
     The Equidistributed rule returns 1/2 exactly; fibers whose sign the
@@ -192,15 +193,9 @@ def n_minus(f: FamilyDef, good_t) -> Fraction:
         return Fraction(rule.kind == "AllOdd")
     from .tate import _factor_values
 
-    signs = (_birch_stephens(rule.kind, rule.D.eval(t), fac) for t, fac
-             in zip(good_t, _factor_values(rule.D, good_t)))
-    acc = Fraction(0)
-    for s in signs:
-        if s is None:
-            acc += Fraction(1, 2)
-        elif s == -1:
-            acc += 1
-    return acc / len(good_t)
+    signs = [_birch_stephens(rule.kind, rule.D.eval(t), fac) for t, fac
+             in zip(good_t, _factor_values(rule.D, good_t))]
+    return Fraction(2 * signs.count(-1) + signs.count(None), 2 * len(good_t))
 
 
 # -- built-in presets ------------------------------------------------------

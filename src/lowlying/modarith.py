@@ -132,16 +132,16 @@ def a_p(f: FamilyDef, t: int, p: int, chi=None) -> int:
     """Trace of Frobenius of the fiber at t.
 
     The Legendre character sum of the short-form cubic x^3 + A x + B,
-    A = -27 c4(t), B = -54 c6(t) (defined at every t, including bad
-    fibers), for a prime p > 3.  One t at a time, in O(p): the
-    independent reference for `ap_table`.
+    with A = f.inv["A"](t) and B = f.inv["B"](t), the family's short
+    model (defined at every t, including bad fibers), for a prime p > 3.
+    One t at a time, in O(p): the independent reference for `ap_table`.
     """
     if p <= 3:
         raise ValueError(f"a_t(p) needs a prime p > 3, got {p}")
     if chi is None:
         chi = chi_table(p)
-    A = -27 * f.inv["c4"].eval(t) % p
-    B = -54 * f.inv["c6"].eval(t) % p
+    A = f.inv["A"].eval(t) % p
+    B = f.inv["B"].eval(t) % p
     xs = np.arange(p, dtype=np.int64)
     g = (xs * xs % p * xs + A * xs + B) % p
     return -int(chi[g].sum(dtype=np.int64))

@@ -19,7 +19,8 @@ bad prime p takes its exponent from c4(t) and c6(t) by one local rule:
 - otherwise (additive reduction at 2 or 3, or a model that may not be
   minimal at p > 3) `tate_local` decides, once per local key
   (p, lam(c4(t)), lam(c6(t)), v_p(delta(t))) in each call, with
-  lam(x) = (v_p(x), x / p^v_p(x) mod p^6) and lam(0) = None.
+  lam(x) = (v_p(x), x / p^v_p(x) mod p^6) and lam(0) = None.  One
+  function, `_keyed_f`, builds that key from one fiber's integers.
 
 (Silverman, AEC VII.1.1 and VII.5.1; Advanced Topics, IV.10.)
 
@@ -37,12 +38,14 @@ unit parts taken mod 2^3 and mod 3, so mod p^6 leaves a margin.
 At 2 and 3 the rule runs for up to 8,192 fibers at once: each t is
 reduced mod 2^30 3^19 < 2^61, c4(t), c6(t) and delta(t) are taken mod
 p^K with numpy, K = 30 at 2 and 19 at 3 (the largest powers below
-2^31); the valuations and unit parts mod p^6 are read off those
-residues, the fibers are grouped by key, and Tate runs once per new key.
-A fiber whose residues are too short (v_p(c4(t)) or v_p(c6(t)) above
-K - 6, v_p(delta(t)) >= K, or c4(t) or c6(t) = 0 where the polynomial is
-not 0) takes the rule on c4(t) and c6(t) as integers, `_exact_f`, as
-every p > 3 does.  Both share the dict of keys.
+2^31), and the valuations and unit parts mod p^6 of those residues
+group the fibers.  Where a residue decides, its valuation and unit part
+equal the integer's, so every fiber of a group has the same key, and
+one fiber of each group gives it.  A fiber whose residues are too short
+(v_p(c4(t)) or v_p(c6(t)) above K - 6, v_p(delta(t)) >= K, or c4(t) or
+c6(t) = 0 where the polynomial is not 0) takes the rule on c4(t) and
+c6(t) as integers, `_exact_f`, as every p > 3 does.  Both share the
+dict of keys.
 
 `conductor(f, t)` runs `tate_local` at every bad prime of one fiber
 that `factorize` finds; it is the oracle of `conductors` in the tests.
@@ -97,27 +100,29 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _transform(ai, r, s, t, u=1):
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+def _transform(ai, r, s, t):
+    """Coordinate change x = x' + r, y = y' + s x' + t."""
     a1, a2, a3, a4, a6 = ai
     a1n = a1 + 2 * s
     a2n = a2 - s * a1 + 3 * r - s * s
     a3n = a3 + r * a1 + 2 * t
     a4n = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
     a6n = a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1
-    if u != 1:
-        assert all(x % d == 0 for x, d in
-                   ((a1n, u), (a2n, u ** 2), (a3n, u ** 3),
-                    (a4n, u ** 4), (a6n, u ** 6)))
-        return (a1n // u, a2n // u ** 2, a3n // u ** 3,
-                a4n // u ** 4, a6n // u ** 6)
     return (a1n, a2n, a3n, a4n, a6n)
 
 
-def _double_root(a3t: int, a6t: int, p: int) -> int:
-    """The double root of Y^2 + a3t Y - a6t mod p, for p dividing its
-    discriminant a3t^2 + 4 a6t: a6t mod 2 at p = 2, else -a3t / 2."""
-    return a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
+def _rescale(ai, p: int):
+    """The model x = p^2 x', y = p^3 y' of ai: each a_i divided by p^i."""
+    weights = (1, 2, 3, 4, 6)
+    assert all(a % p ** i == 0 for a, i in zip(ai, weights))
+    return tuple(a // p ** i for a, i in zip(ai, weights))
+
+
+def _double_root(a: int, b: int, c: int, p: int) -> int:
+    """The double root of a X^2 + b X + c mod p, for p dividing its
+    discriminant b^2 - 4ac but not a: c a mod 2 at p = 2, as b is even
+    there, else -b / 2a."""
+    return c * a % 2 if p == 2 else -b * pow(2 * a, -1, p) % p
 
 
 def tate_local(ai, p: int) -> LocalData:
@@ -130,7 +135,7 @@ def tate_local(ai, p: int) -> LocalData:
     formula t = -(a1 r + a3) / 2 mod p at every odd p; at p = 3 it is
     a1 r + a3, as 1/2 = -1 mod 3.  At p = 2, r = a4 and t = r^3 + a2 r^2
     + a4 r + a6 mod 2.  A model that is not minimal at p is rescaled by
-    u = p and restarted.
+    p, `_rescale`, and restarted.
     """
     ai = tuple(int(x) for x in ai)
     h = (p + 1) // 2  # 1/2 mod p for odd p
@@ -187,7 +192,7 @@ def tate_local(ai, p: int) -> LocalData:
                 a6t = a6 // (mx * my)
                 if (a3t * a3t + 4 * a6t) % p != 0:
                     break
-                ai = _transform(ai, 0, 0, my * _double_root(a3t, a6t, p))
+                ai = _transform(ai, 0, 0, my * _double_root(1, a3t, -a6t, p))
                 a1, a2, a3, a4, a6 = ai
                 my *= p
                 m += 1
@@ -196,12 +201,7 @@ def tate_local(ai, p: int) -> LocalData:
                 a6t = a6 // (mx * my)
                 if (a4t * a4t - 4 * a6t * a2t) % p != 0:
                     break
-                # double root of a2t X^2 + a4t X + a6t mod p
-                if p == 2:
-                    x1 = (a6t * a2t) % p
-                else:
-                    x1 = (-a4t * pow(2 * a2t, -1, p)) % p
-                ai = _transform(ai, mx * x1, 0, 0)
+                ai = _transform(ai, mx * _double_root(a2t, a4t, a6t, p), 0, 0)
                 a1, a2, a3, a4, a6 = ai
                 mx *= p
                 m += 1
@@ -214,14 +214,14 @@ def tate_local(ai, p: int) -> LocalData:
         a6t = a6 // p ** 4
         if (a3t * a3t + 4 * a6t) % p != 0:
             return LocalData(p, n - 6, "Additive", "IV*", ai)
-        ai = _transform(ai, 0, 0, p * p * _double_root(a3t, a6t, p))
+        ai = _transform(ai, 0, 0, p * p * _double_root(1, a3t, -a6t, p))
         a1, a2, a3, a4, a6 = ai
         if a4 % p ** 4 != 0:
             return LocalData(p, n - 7, "Additive", "III*", ai)
         if a6 % p ** 6 != 0:
             return LocalData(p, n - 8, "Additive", "II*", ai)
         # non-minimal: rescale by p and restart
-        ai = _transform(ai, 0, 0, 0, u=p)
+        ai = _rescale(ai, p)
 
 
 _TRIAL = 10 ** 4
@@ -383,8 +383,7 @@ def _factor_values(P: IntPoly, ts):
                     while v % p == 0:
                         v //= p
                         e += 1
-                    pw = powers[i]
-                    pw[p] = pw.get(p, 0) + e
+                    powers[i][p] = e  # each p meets each t once
                     rest[i] = v
         for val, v, pw in zip(vals, rest, powers):
             yield (Factorization(abs(val), pw, _split_remainder(v, pw))
@@ -450,28 +449,30 @@ def _local_class(x: int, p: int):
     return v, x // p ** v % p ** _UNIT_DIGITS
 
 
-def _keyed_f(f: FamilyDef, t: int, key: tuple, f_local: dict) -> int:
-    """f_p stored in f_local under the local key (p, ...) of the fiber at
-    t, from `tate_local` on that fiber's model if the key is new."""
+def _keyed_f(f: FamilyDef, t: int, p: int, c4t: int, c6t: int,
+             f_local: dict) -> int:
+    """f_p of the fiber at t, stored in f_local under its local key
+    (p, lam(c4t), lam(c6t), v_p(delta(t))) for c4t = c4(t), c6t = c6(t),
+    from `tate_local` on that fiber's model if the key is new; raises
+    SingularFiberError where delta(t) = 0."""
+    delta = (c4t ** 3 - c6t ** 2) // 1728
+    if delta == 0:
+        raise SingularFiberError(f"{f.label}: singular fiber at t={t}")
+    key = (p, _local_class(c4t, p), _local_class(c6t, p), _vp(delta, p))
     if key not in f_local:
-        f_local[key] = tate_local(f.specialize(t), key[0]).f_p
+        f_local[key] = tate_local(f.specialize(t), p).f_p
     return f_local[key]
 
 
 def _exact_f(f: FamilyDef, t: int, p: int, c4t: int, c6t: int,
              f_local: dict) -> int:
     """f_p of the fiber at t, for a prime p dividing delta(t), by the
-    module's local rule on c4t = c4(t) and c6t = c6(t); raises
-    SingularFiberError where delta(t) = 0."""
+    module's local rule on c4t = c4(t) and c6t = c6(t)."""
     if c4t % p:
         return 1
     if p > 3 and (c4t % p ** 4 or c6t % p ** 6):
         return 2
-    delta = (c4t ** 3 - c6t ** 2) // 1728
-    if delta == 0:
-        raise SingularFiberError(f"{f.label}: singular fiber at t={t}")
-    key = (p, _local_class(c4t, p), _local_class(c6t, p), _vp(delta, p))
-    return _keyed_f(f, t, key, f_local)
+    return _keyed_f(f, t, p, c4t, c6t, f_local)
 
 
 def _vp_unit(r: np.ndarray, p: int):
@@ -499,10 +500,12 @@ def _conductor_at_2_and_3(f: FamilyDef, ts, f_local: dict) -> list:
     where p does not divide delta(t), and 1 where it does not divide
     c4(t).  Elsewhere v_p and the unit part mod p^6 of a residue
     r = x mod p^K equal those of x when v_p(r) <= K - 6, and v_p(delta)
-    needs only v_p(r) < K; such fibers are grouped by local key and take
-    f_p from `_keyed_f`.  The others (c4(t) or c6(t) with v_p > K - 6 or
-    equal to 0 for a polynomial not identically 0, or v_p(delta(t)) >= K)
-    take it from `_exact_f` on c4(t) and c6(t) as integers.
+    needs only v_p(r) < K; such fibers are grouped by those residue
+    classes, which fix the local key, and the first fiber of each group
+    takes f_p from `_keyed_f` for the whole group.  The others (c4(t) or
+    c6(t) with v_p > K - 6 or equal to 0 for a polynomial not
+    identically 0, or v_p(delta(t)) >= K) take it from `_exact_f` on
+    c4(t) and c6(t) as integers.
     """
     c4, c6 = f.inv["c4"], f.inv["c6"]
     x = np.array([t % _RESIDUE_MOD for t in ts], dtype=np.int64)
@@ -517,29 +520,21 @@ def _conductor_at_2_and_3(f: FamilyDef, ts, f_local: dict) -> list:
         rest = np.flatnonzero(fp & (r4 % p == 0))
         rd, r4 = rd[rest], r4[rest]
         r6 = vals_mod(c6, m, x[rest])
-        vd, _ = _vp_unit(rd, p)
+        packed, _ = _vp_unit(rd, p)
         exact = rd == 0
-        lams = []
         for P, r in ((c4, r4), (c6, r6)):
-            v, u = _vp_unit(r, p)
-            if P.is_zero():  # lam = None: v = K, which no residue gives
-                v = np.full_like(r, K)
-            else:
+            v, u = _vp_unit(r, p)  # (0, 0) on every fiber where P = 0
+            if not P.is_zero():
                 exact |= (r == 0) | (v > K - _UNIT_DIGITS)
-            lams.append((v, u))
+            packed = (packed * K + v) * p ** _UNIT_DIGITS + u
         keyed = np.flatnonzero(~exact)
-        (v4, u4), (v6, u6) = ((v[keyed], u[keyed]) for v, u in lams)
-        vd, keyed = vd[keyed], rest[keyed]
-        M = p ** _UNIT_DIGITS
-        packed = (((v4 * M + u4) * (K + 1) + v6) * M + u6) * (K + 1) + vd
-        _, first, which = np.unique(packed, return_index=True,
+        _, first, which = np.unique(packed[keyed], return_index=True,
                                     return_inverse=True)
+        keyed = rest[keyed]
         f_key = []
-        for i in first.tolist():
-            key = (p, None if v4[i] == K else (int(v4[i]), int(u4[i])),
-                   None if v6[i] == K else (int(v6[i]), int(u6[i])),
-                   int(vd[i]))
-            f_key.append(_keyed_f(f, ts[keyed[i]], key, f_local))
+        for i in keyed[first].tolist():
+            t = ts[i]
+            f_key.append(_keyed_f(f, t, p, c4.eval(t), c6.eval(t), f_local))
         fp[keyed] = np.array(f_key, dtype=np.int64)[which]
         for i in rest[exact].tolist():
             t = ts[i]

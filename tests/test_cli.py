@@ -1,14 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import src_env
 from lowlying import density
-from lowlying.cli import main
+from lowlying.cli import _emit_json, main
 from lowlying.family import get_family
 from lowlying.modarith import nagao_estimate
 
@@ -132,6 +134,12 @@ def test_out_file_holds_the_stdout_payload(capsys, tmp_path):
     captured = capsys.readouterr()
     assert status == 0 and captured.out == "" and captured.err == ""
     assert strip_stamp(path.read_text(encoding="utf-8")) == strip_stamp(out)
+
+
+def test_emit_json_refuses_what_json_cannot_write():
+    # every payload is plain Python; a numpy integer is a bug, not "5"
+    with pytest.raises(TypeError):
+        _emit_json(io.StringIO(), {"x": np.int64(5)})
 
 
 def test_conductor_csv(capsys):

@@ -756,3 +756,9 @@ def test_conductors_singular_fiber_raises():
     with pytest.raises(SingularFiberError):
         list(conductors(f, [1, 2, 0, 3]))
     assert list(conductors(f, [1, 2])) == [conductor(f, 1), conductor(f, 2)]
+    # a node: c4 = 1 and delta = -t (1 + 432 t), so the residue pass reads
+    # f_2 = f_3 = 1 at t = 0 and only D(t) = 0 finds the singular fiber
+    node = FamilyDef("node", poly(1), poly(), poly(), poly(), poly(0, 1))
+    assert node.inv["c4"] == poly(1)
+    with pytest.raises(SingularFiberError):
+        list(conductors(node, [1, 0, 2]))

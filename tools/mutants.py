@@ -96,13 +96,20 @@ MUTANTS = {
         "int((tab * tab).sum())",
         "int(tab.sum())",
         ["tests/test_modarith.py::test_moment_methods_agree"]),
-    # the double root of Y^2 + a3t Y - a6t is -a3t / 2, not a3t / 2
+    # the double root of a X^2 + b X + c at odd p is -b / 2a, not b / 2a
     "double-root-sign": (
         "tate.py",
-        "-a3t * ((p + 1) // 2) % p",
-        "a3t * ((p + 1) // 2) % p",
+        "-b * pow(2 * a, -1, p) % p",
+        "b * pow(2 * a, -1, p) % p",
         ["tests/test_tate.py::test_tate_local_invariant_under_coordinate_change",
          "tests/test_tate.py::test_local_key_determines_f_p"]),
+    # at p = 2, where b is even, the double root of a X^2 + b X + c is
+    # c a mod 2: a X^2 + c = a (X + c a)^2 mod 2 for odd a
+    "double-root-2-drops-c": (
+        "tate.py",
+        "c * a % 2",
+        "a % 2",
+        ["tests/test_tate.py::test_tate_local_invariant_under_coordinate_change"]),
     # t = -(a1 r + a3) / 2 moves the singular point to y = 0, at p = 3 too
     "singular-point-t-sign": (
         "tate.py",
@@ -124,6 +131,25 @@ MUTANTS = {
         "            for p in fac.prime_powers:\n                if p > 3:",
         "            for p in fac.prime_powers:\n                if p > 2:",
         ["tests/test_tate.py::test_conductors_match_conductor"]),
+    # one fiber of each residue group gives the group's local key
+    "residue-group-wrong-fiber": (
+        "tate.py",
+        "keyed[first]",
+        "keyed[:first.size]",
+        ["tests/test_tate.py::test_conductors_match_conductor"]),
+    # a fiber whose D(t) = 0 leaves the residue pass at c4 = 1 and must
+    # still raise SingularFiberError, not fail on a missing factorization
+    "conductors-singular-guard-off": (
+        "tate.py",
+        "                f.specialize(t)  # raises SingularFiberError\n",
+        "                pass\n",
+        ["tests/test_tate.py::test_conductors_singular_fiber_raises"]),
+    # an undecided sign counts 1/2, an odd one 1
+    "n-minus-unknown-counts-1": (
+        "family.py",
+        "+ signs.count(None)",
+        "+ 2 * signs.count(None)",
+        ["tests/test_family.py::test_n_minus_matches_per_fiber_signs"]),
     # a t with D(t) = 0 is singular and leaves the good set, also where
     # no prime is sieved
     "singular-fiber-kept": (
